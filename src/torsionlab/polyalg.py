@@ -9,8 +9,10 @@ and the two-polynomial scale-counting bound.
 Univariate polynomials are handled both as RatPoly values (nvars == 1) and as
 dense Fraction coefficient lists (index = degree); conversion helpers sit at
 the top.  Interval endpoints and thresholds stay rational wherever a decision
-is made; floats appear only in diagnostics and in root *location* (the
-decisions that depend on roots are re-verified exactly).
+is made.  The monomialization covers use no floats at all: their cuts are
+Sturm-isolated roots, recovered exactly when rational and bracketed by hairline
+rational gutters otherwise.  Floats appear only in diagnostics and in the
+numeric probes (quadrature, sublevel sampling, the tangency scan).
 """
 
 from __future__ import annotations
@@ -606,7 +608,7 @@ class MonomialPiece:
     hi: Fraction | None          # None = +infinity
     center: Fraction
     exponents: tuple[int, ...]   # k_{j,p} per input polynomial
-    certified: bool = True       # False only for hairline root gutters
+    certified: bool = True       # False for root gutters and failed sweep steps
 
     def contains_samples(self, count: int) -> list[Fraction]:
         """Deterministic sample points inside the open piece."""
@@ -665,318 +667,6 @@ def _taylor_terms(p: list[Fraction], b: Fraction) -> list[Fraction]:
     return out
 
 
-def _piece_ok_exact(polys: Sequence[list[Fraction]], lo: Fraction | None,
-                    hi: Fraction | None, b: Fraction, eps: Fraction) -> tuple[int, ...] | None:
-    """Exponent tuple if domination holds on the whole open piece, else None.
-
-    With center outside the piece, each comparison against the dominant term
-    is monotone in |t - b|, so testing the two distance extremes decides the
-    full interval exactly (an unbounded side forces the top exponent).
-    """
-    if lo is not None and hi is not None and not (lo < hi):
-        return None
-    if (lo is not None and hi is not None and lo < b < hi):
-        return None
-    ds: list[Fraction | None] = []
-    if lo is None and hi is None:
-        return None
-    if lo is None:
-        d_near = abs(hi - b) if hi <= b else Fraction(0)
-        d_far = None
-    elif hi is None:
-        d_near = abs(lo - b) if lo >= b else Fraction(0)
-        d_far = None
-    else:
-        d1, d2 = abs(lo - b), abs(hi - b)
-        d_near, d_far = min(d1, d2), max(d1, d2)
-    if d_near == 0 and d_far is None:
-        d_near = Fraction(0)
-    exps: list[int] = []
-    for p in polys:
-        cs = _taylor_terms(p, b)
-        nz = [k for k, c in enumerate(cs) if c != 0]
-        if not nz:
-            exps.append(0)
-            continue
-        chosen = None
-        for k_star in nz:
-            ok = True
-            for k in nz:
-                if k == k_star:
-                    continue
-                ck, cstar = abs(cs[k]), abs(cs[k_star])
-                if k < k_star:
-                    # worst at the near end; degenerate distance 0 kills k_star>0
-                    if d_near == 0:
-                        ok = False
-                        break
-                    if ck > eps * cstar * d_near ** (k_star - k):
-                        ok = False
-                        break
-                else:
-                    if d_far is None:
-                        ok = False  # unbounded side: higher terms must be absent
-                        break
-                    if ck * d_far ** (k - k_star) > eps * cstar:
-                        ok = False
-                        break
-            if ok:
-                chosen = k_star
-                break
-        if chosen is None:
-            return None
-        exps.append(chosen)
-    return tuple(exps)
-
-
-def _family_with_derivatives(polys: Sequence[list[Fraction]]) -> list[list[Fraction]]:
-    fam = []
-    for p in polys:
-        d = list(p)
-        while len(d) > 1:
-            fam.append(d)
-            d = uderiv(d)
-    return fam
-
-
-def _certify_root(p: np.ndarray, z: complex) -> bool:
-    """Cheap disk-Newton certificate for a simple root near z."""
-    dp = np.polyder(p)
-    pz = np.polyval(p, z)
-    dpz = np.polyval(dp, z)
-    if dpz == 0:
-        return False
-    beta = abs(pz / dpz)
-    r = max(beta * 4, 1e-14)
-    # second-order remainder bound on the disk of radius r
-    dd = np.polyder(dp)
-    bound = 0.0
-    fact = 2.0
-    k = 2
-    q = dd
-    rad = 1.0
-    while q.size > 0:
-        rad *= r
-        bound += abs(np.polyval(q, z)) / fact * rad
-        q = np.polyder(q)
-        k += 1
-        fact *= k
-    return beta <= r / 2 and bound <= abs(dpz) / 2
-
-
-def _candidate_breakpoints(fam: list[list[Fraction]]) -> tuple[list[Fraction], dict]:
-    roots: list[complex] = []
-    certified = 0
-    for p in fam:
-        arr = np.array([float(c) for c in p][::-1])
-        if len(arr) <= 1:
-            continue
-        rs = np.roots(arr)
-        for z in rs:
-            for _ in range(4):  # Newton polish
-                dz = np.polyval(np.polyder(arr), z)
-                if dz == 0:
-                    break
-                z = z - np.polyval(arr, z) / dz
-            roots.append(complex(z))
-            if _certify_root(arr, z):
-                certified += 1
-    cuts: set[Fraction] = set()
-
-    def add(x: float):
-        if math.isfinite(x):
-            cuts.add(Fraction(x).limit_denominator(10**12))
-
-    for z in roots:
-        add(z.real)
-        if abs(z.imag) > 0:
-            add(z.real - abs(z.imag))
-            add(z.real + abs(z.imag))
-    for i, zi in enumerate(roots):
-        for zj in roots[i + 1:]:
-            d = abs(zi - zj)
-            if d > 0:
-                for s in (0.5, 1.0, 1.5):
-                    add(zi.real - s * d)
-                    add(zi.real + s * d)
-                    add(zj.real - s * d)
-                    add(zj.real + s * d)
-            if abs(zi.real - zj.real) > 1e-300:
-                # real equidistant point between the two roots
-                num = abs(zj) ** 2 - abs(zi) ** 2
-                den = 2 * (zj.real - zi.real)
-                add(num / den)
-    diag = {"roots": len(roots), "certified_roots": certified}
-    return sorted(cuts), diag
-
-
-def _interior_roots(fam: list[list[Fraction]], lo: Fraction, hi: Fraction):
-    """Isolating brackets of family roots strictly inside (lo, hi).
-
-    Collapsed brackets are exact rational roots; open brackets hold their
-    root strictly inside, so only a collapse onto a boundary is dropped.
-    """
-    out = []
-    for p in fam:
-        for a, b in isolate_real_roots(p, lo=lo, hi=hi):
-            a2, b2 = refine_root(p, (a, b), (hi - lo) / 16)
-            if a2 == b2:
-                if lo < a2 < hi:
-                    out.append((p, a2, a2))
-            else:
-                out.append((p, a2, b2))
-    return out
-
-
-def _cover_engine(fam: list[list[Fraction]], ok_fn, eps: Fraction,
-                  max_depth: int = 80) -> tuple[list[MonomialPiece], dict]:
-    """Shared cover construction: root-geometry cuts, epsilon grids toward the
-    cuts, exact per-piece certification, bisection refinement, and hairline
-    gutters bracketing irrational real roots (where no rational-endpoint piece
-    can satisfy the domination inequality)."""
-    cuts, diag = _candidate_breakpoints(fam)
-    # snap near-root cuts onto exact rational roots when the float recovered one
-    cuts = sorted(set(cuts))
-    extra: set[Fraction] = set()
-    for a, b in zip(cuts, cuts[1:]):
-        L = b - a
-        if L <= 0:
-            continue
-        for frac in (eps, eps * eps):
-            extra.add(a + L * frac)
-            extra.add(b - L * frac)
-    cuts = sorted(set(cuts) | extra)
-    pieces: list[MonomialPiece] = []
-    failures = 0
-    gutter_total = Fraction(0)
-
-    def centers_for(lo, hi):
-        cands = []
-        if lo is not None:
-            cands.append(lo)
-        if hi is not None:
-            cands.append(hi)
-        if lo is not None and hi is not None:
-            w = hi - lo
-            cands.extend([lo - w, hi + w, lo - 2 * w, hi + 2 * w])
-        elif lo is not None:
-            cands.append(lo - 1)
-        elif hi is not None:
-            cands.append(hi + 1)
-        cands.append(Fraction(0))
-        return [c for c in dict.fromkeys(cands)
-                if not ((lo is not None and hi is not None) and lo < c < hi)]
-
-    def emit_gutter(glo: Fraction, ghi: Fraction):
-        nonlocal gutter_total
-        gutter_total += ghi - glo
-        pieces.append(MonomialPiece(lo=glo, hi=ghi, center=glo,
-                                    exponents=(), certified=False))
-
-    def handle(lo: Fraction | None, hi: Fraction | None, depth: int):
-        nonlocal failures
-        for b in centers_for(lo, hi):
-            exps = ok_fn(lo, hi, b)
-            if exps is not None:
-                pieces.append(MonomialPiece(lo=lo, hi=hi, center=b, exponents=exps))
-                return
-        if lo is not None and hi is not None:
-            inner = _interior_roots(fam, lo, hi)
-            irrational = [(a, b) for _, a, b in inner if a != b]
-            if irrational:
-                # bracket the leftmost irrational root to hairline width and
-                # recurse on the root-free flanks
-                a, b = min(irrational)
-                p = next(q for q, x, y in inner if (x, y) == (a, b))
-                width = (hi - lo) / Fraction(2) ** 48
-                a, b = refine_root(p, (a, b), width)
-                if a == b:
-                    if lo < a < hi:
-                        handle(lo, a, depth + 1)
-                        handle(a, hi, depth + 1)
-                        return
-                else:
-                    if lo < a and b < hi:
-                        handle(lo, a, depth + 1)
-                        emit_gutter(a, b)
-                        handle(b, hi, depth + 1)
-                        return
-        if depth >= max_depth:
-            failures += 1
-            return
-        if lo is None:
-            split = hi - max(2 * abs(hi), Fraction(1))
-            handle(None, split, depth + 1)
-            handle(split, hi, depth + 1)
-        elif hi is None:
-            split = lo + max(2 * abs(lo), Fraction(1))
-            handle(lo, split, depth + 1)
-            handle(split, None, depth + 1)
-        else:
-            mid = (lo + hi) / 2
-            handle(lo, mid, depth + 1)
-            handle(mid, hi, depth + 1)
-
-    if not cuts:
-        cuts = [Fraction(0)]
-    handle(None, cuts[0], 0)
-    for a, b in zip(cuts, cuts[1:]):
-        if b > a:
-            handle(a, b, 0)
-    handle(cuts[-1], None, 0)
-    diag["pieces"] = len(pieces)
-    diag["uncertified_pieces"] = failures
-    diag["root_gutters"] = sum(1 for p in pieces if not p.certified)
-    diag["gutter_measure"] = float(gutter_total)
-    return pieces, diag
-
-
-def _monomialize_family(input_polys: list[list[Fraction]], eps: Fraction) -> MonomialCover:
-    fam = _family_with_derivatives(input_polys) or [list(p) for p in input_polys]
-
-    def ok_fn(lo, hi, b):
-        return _piece_ok_exact(input_polys, lo, hi, b, eps)
-
-    pieces, diag = _cover_engine(fam, ok_fn, eps)
-    return MonomialCover(pieces=pieces, eps=eps, diagnostics=diag)
-
-
-def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
-    """Cover of R by intervals on which every input is monomial-comparable.
-
-    Construction follows the root geometry (nearest-root cells,
-    annuli near each root, eps-grids toward endpoints) with exact endpoint
-    verification of the domination inequality on every piece; any piece that
-    fails is bisected until it certifies.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisNotMet("eps must lie in (0,1)")
-    dense = [from_ratpoly(p) if isinstance(p, RatPoly) else [Fraction(c) for c in p]
-             for p in polys]
-    if any(not p for p in dense):
-        raise HypothesisNotMet("polynomials must be nonzero")
-    return _monomialize_family(dense, eps)
-
-
-def curve_monomialize(gamma: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
-    """Vector version: |gamma^(k)(b)(t-b)^k / k!| <= eps * dominant term.
-
-    Reduces to the scalar machinery on squared Euclidean magnitudes, which
-    keeps every comparison rational.
-    """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise HypothesisNotMet("eps must lie in (0,1)")
-    comps = [from_ratpoly(g) if isinstance(g, RatPoly) else [Fraction(c) for c in g]
-             for g in gamma]
-    if all(not c for c in comps):
-        raise HypothesisNotMet("gamma must be nonzero")
-    dense = [c if c else [Fraction(0)] for c in comps]
-    cover = _monomialize_vector(dense, eps)
-    return cover
-
-
 def _vector_taylor_sq(comps: list[list[Fraction]], b: Fraction) -> list[Fraction]:
     """Squared magnitudes |gamma^(k)(b)|^2 / (k!)^2."""
     per = [_taylor_terms(c, b) for c in comps]
@@ -991,57 +681,204 @@ def _vector_taylor_sq(comps: list[list[Fraction]], b: Fraction) -> list[Fraction
     return out
 
 
-def _vector_ok_exact(comps: list[list[Fraction]], lo, hi, b: Fraction,
-                     eps: Fraction) -> tuple[int, ...] | None:
-    if lo is not None and hi is not None and not (lo < hi):
+def _piece_exponents(sqs: Sequence[list[Fraction]], lo: Fraction | None,
+                     hi: Fraction | None, b: Fraction, eps: Fraction) -> tuple[int, ...] | None:
+    """Dominant exponent per group if domination holds on the open piece, else None.
+
+    ``sqs`` holds each group's squared Taylor magnitudes around the center b:
+    one polynomial per group for scalar covers, all curve components in one
+    group for curves.  A piece that contains its center is rejected.  With the
+    center outside, each comparison against the dominant term is monotone in
+    |t - b|, so testing the two distance extremes decides the whole piece
+    exactly; an unbounded side forces the top exponent.
+    """
+    if (lo is None or lo < b) and (hi is None or b < hi):
         return None
-    if lo is not None and hi is not None and lo < b < hi:
-        return None
-    if lo is None and hi is None:
-        return None
-    if lo is None:
-        d_near, d_far = abs(hi - b), None
-    elif hi is None:
-        d_near, d_far = abs(lo - b), None
+    if hi is not None and hi <= b:
+        d_near, d_far = b - hi, None if lo is None else b - lo
     else:
-        d1, d2 = abs(lo - b), abs(hi - b)
-        d_near, d_far = min(d1, d2), max(d1, d2)
-    sq = _vector_taylor_sq(comps, b)
-    nz = [k for k, c in enumerate(sq) if c != 0]
-    if not nz:
-        return None
+        d_near, d_far = lo - b, None if hi is None else hi - b
     eps2 = eps * eps
-    for k_star in nz:
-        ok = True
-        for k in nz:
-            if k == k_star:
-                continue
-            if k < k_star:
-                if d_near == 0 or sq[k] > eps2 * sq[k_star] * d_near ** (2 * (k_star - k)):
-                    ok = False
-                    break
-            else:
-                if d_far is None or sq[k] * d_far ** (2 * (k - k_star)) > eps2 * sq[k_star]:
-                    ok = False
-                    break
-        if ok:
-            return (k_star,)
-    return None
+    exps = []
+    for sq in sqs:
+        nz = [k for k, c in enumerate(sq) if c]
+        k_star = next((j for j in nz if all(
+            sq[k] <= eps2 * sq[j] * d_near ** (2 * (j - k)) if k < j
+            else d_far is not None and sq[k] * d_far ** (2 * (k - j)) <= eps2 * sq[j]
+            for k in nz if k != j)), None)
+        if k_star is None:
+            return None
+        exps.append(k_star)
+    return tuple(exps)
 
 
-def _monomialize_vector(comps: list[list[Fraction]], eps: Fraction) -> MonomialCover:
-    # the vector curve vanishes only where all components do; the root-cut and
-    # gutter machinery therefore runs on the components plus the squared norm
-    acc: list[Fraction] = []
-    for c in comps:
-        acc = uadd(acc, umul(c, c))
-    fam = _family_with_derivatives(comps + [acc]) or comps
+def _anchors(anchor_poly: list[Fraction], eps: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """(left, right, center) for each distinct real root of anchor_poly, in order.
 
-    def ok_fn(lo, hi, b):
-        return _vector_ok_exact(comps, lo, hi, b, eps)
+    A rational root r is recovered exactly as (r, r, r): its denominator
+    divides the integer leading coefficient L, so refining to width below
+    1/L^2 leaves it the only candidate of denominator at most L.  An irrational
+    root becomes a hairline gutter (left, right) whose center is refined so
+    much closer to the root than to the gutter ends that the root's Taylor term
+    dominates on both neighbors.
+    """
+    sf = usquarefree(anchor_poly)
+    lead = abs((sf[-1] * math.lcm(*(c.denominator for c in sf))).numerator)
+    out = []
+    for a0, b0 in isolate_real_roots(sf):
+        a, b = refine_root(sf, (a0, b0), Fraction(1, 2 * lead * lead))
+        r = ((a + b) / 2).limit_denominator(lead)
+        if a == b or (a < r <= b and ueval(sf, r) == 0):
+            out.append((r, r, r))
+            continue
+        half = (b0 - a0) / 2 ** 48
+        a, b = refine_root(sf, (a, b), half * eps / 2 ** len(anchor_poly))
+        c = (a + b) / 2
+        out.append((c - half, c + half, c))
+    return out
 
-    pieces, diag = _cover_engine(fam, ok_fn, eps)
+
+# grid index below which a sweep step counts as uncertified (width 2^-200)
+_MIN_GRID_INDEX = -8 * 200
+
+
+def _grid_point(lo: Fraction | None, right: Fraction | None, k: int) -> Fraction:
+    """Right end of candidate k for a sweep step, nondecreasing in k.
+
+    Candidate widths run through the fixed dyadic grid of numbers with four
+    significant bits, width(k) = (8 + k mod 8) * 2^(k div 8 - 3), which
+    increases with k.  From a finite lo the step ends at lo + width(k),
+    capped at ``right``; the unbounded left tail ends width(-k) before
+    ``right``.
+    """
+    if lo is None:
+        return right - _grid_width(-k)
+    hi = lo + _grid_width(k)
+    return hi if right is None or hi < right else right
+
+
+def _grid_width(k: int) -> Fraction:
+    q, m = divmod(k, 8)
+    return (8 + m) * Fraction(2) ** (q - 3)
+
+
+def _last_true(ok, start: int) -> int | None:
+    """Largest integer k with ok(k), for ok true below a threshold and false above.
+
+    Doubling steps from the warm start bracket the threshold and halving
+    closes it; None when ok still fails below _MIN_GRID_INDEX.
+    """
+    step = 1
+    if ok(start):
+        good, bad = start, start + 1
+        while ok(bad):
+            good, step = bad, 2 * step
+            bad = good + step
+    else:
+        good, bad = start - 1, start
+        while not ok(good):
+            if good < _MIN_GRID_INDEX:
+                return None
+            bad, step = good, 2 * step
+            good = bad - step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
+
+
+def _sweep_cover(groups: list[list[list[Fraction]]], anchor_poly: list[Fraction],
+                 eps) -> MonomialCover:
+    """Left-to-right exact sweep shared by the scalar and the curve cover."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise HypothesisNotMet("eps must lie in (0,1)")
+    anchors = _anchors(anchor_poly, eps)
+    bounds = [(None, None, None)] + (anchors or [(Fraction(0),) * 3]) + [(None, None, None)]
+    pieces: list[MonomialPiece] = []
+    failures = 0
+    warm = 0
+
+    def taylor(b: Fraction | None):
+        return None if b is None else (b, [_vector_taylor_sq(g, b) for g in groups])
+
+    for (_, lo, c_left), (right, gutter_end, c_right) in zip(bounds, bounds[1:]):
+        left_center, right_center = taylor(c_left), taylor(c_right)
+        while lo != right:
+            own = taylor(lo) if lo != c_left else None
+            centers = [c for c in (left_center, own, right_center) if c is not None]
+
+            def exponents(hi):
+                return next(((b, x) for b, sq in centers
+                             if (x := _piece_exponents(sq, lo, hi, b, eps)) is not None), None)
+
+            hi, hit = right, exponents(right)
+            if hit is None:
+                k = _last_true(lambda k: exponents(_grid_point(lo, right, k)) is not None, warm)
+                if k is None:
+                    failures += 1
+                    k = _MIN_GRID_INDEX
+                warm, hi = k, _grid_point(lo, right, k)
+                hit = exponents(hi)
+            pieces.append(MonomialPiece(lo, hi, *hit) if hit
+                          else MonomialPiece(lo, hi, hi, (), certified=False))
+            lo = hi
+        if right is not None and right != gutter_end:
+            pieces.append(MonomialPiece(right, gutter_end, c_right, (), certified=False))
+    gutters = [(a, b) for a, b, _ in anchors if a != b]
+    diag = {
+        "real_roots": len(anchors),
+        "pieces": len(pieces),
+        "uncertified_pieces": failures,
+        "root_gutters": len(gutters),
+        "gutter_measure": float(sum((b - a for a, b in gutters), Fraction(0))),
+    }
     return MonomialCover(pieces=pieces, eps=eps, diagnostics=diag)
+
+
+def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
+    """Cover of R by intervals on which every input is monomial-comparable.
+
+    One exact left-to-right sweep, with no floats.  The cut anchors are the
+    distinct real roots of the inputs: a rational root is an exact endpoint,
+    an irrational one sits in a hairline gutter (a piece left uncertified,
+    of negligible measure) with a rational center next to the root.  Each
+    unbounded tail takes the top exponent around the outermost anchor
+    (around 0 when there is no real root).  Between anchors every piece runs
+    from its left end to the farthest point of a dyadic grid that one of three
+    centers certifies: the left anchor, the piece's own left end or the right
+    anchor.  Certification checks the domination inequality on the whole
+    piece exactly; a step where no center certifies any width counts in
+    ``diagnostics["uncertified_pieces"]``.
+    """
+    dense = [from_ratpoly(p) if isinstance(p, RatPoly) else utrim([Fraction(c) for c in p])
+             for p in polys]
+    if any(not p for p in dense):
+        raise HypothesisNotMet("polynomials must be nonzero")
+    product = [Fraction(1)]
+    for p in dense:
+        product = umul(product, p)
+    return _sweep_cover([[p] for p in dense], product, eps)
+
+
+def curve_monomialize(gamma: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
+    """Vector version: |gamma^(k)(b)(t-b)^k / k!| <= eps * dominant term.
+
+    Runs the scalar sweep with all components in one group, scored by squared
+    Euclidean magnitudes, which keeps every comparison rational; the anchors
+    are the real roots of |gamma|^2.
+    """
+    comps = [from_ratpoly(g) if isinstance(g, RatPoly) else utrim([Fraction(c) for c in g])
+             for g in gamma]
+    if all(not c for c in comps):
+        raise HypothesisNotMet("gamma must be nonzero")
+    norm_sq: list[Fraction] = []
+    for c in comps:
+        norm_sq = uadd(norm_sq, umul(c, c))
+    return _sweep_cover([comps], norm_sq, eps)
 
 
 # -- tangency scan -----------------------------------------------------------------

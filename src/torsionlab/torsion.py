@@ -22,7 +22,6 @@ exact; the numeric |.|^e evaluation lives in the verifier.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,10 +80,8 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
     """
     key = tuple(tuple(w) for w in words)
     cache = table._flow_cache
-    lock = cache.setdefault("__lock__", threading.Lock())
-    with lock:
-        if key in cache:
-            return cache[key]
+    if key in cache:
+        return cache[key]
     n = table.dim
     if len(words) != n:
         raise ValueError(f"need an n-tuple of words (n={n}), got {len(words)}")
@@ -99,8 +96,7 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
         [[state[i].partial(n + j) for j in range(n)] for i in range(n)]
     )
     result = IterFlowMap(words=key, map=tuple(state), jac_det=jac.det())
-    with lock:
-        cache[key] = result
+    cache[key] = result
     return result
 
 

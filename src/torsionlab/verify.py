@@ -33,6 +33,15 @@ class DegenerateRegion(ValueError):
     """Region has zero volume or an empty constraint set where mass is required."""
 
 
+def _require_disjoint(boxes: Sequence[Box], message: str) -> None:
+    """Raise ValueError(message) when two boxes share interior points."""
+    for i, a in enumerate(boxes):
+        for b in boxes[i + 1:]:
+            if all(max(al, bl) < min(ah, bh)
+                   for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)):
+                raise ValueError(message)
+
+
 @dataclass
 class BoxUnion:
     """Finite union of pairwise disjoint boxes with exact total volume."""
@@ -40,11 +49,7 @@ class BoxUnion:
     boxes: tuple[Box, ...]
 
     def __post_init__(self):
-        for i, a in enumerate(self.boxes):
-            for b in self.boxes[i + 1:]:
-                if all(max(al, bl) < min(ah, bh)
-                       for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)):
-                    raise ValueError("boxes in a union must be pairwise disjoint")
+        _require_disjoint(self.boxes, "boxes in a union must be pairwise disjoint")
 
     def volume(self) -> Fraction:
         return sum((b.volume() for b in self.boxes), Fraction(0))
@@ -80,12 +85,8 @@ class StepFunction:
     @classmethod
     def from_levels(cls, levels: Sequence[tuple[int, Sequence[Box]]]) -> "StepFunction":
         built = tuple((k, BoxUnion(tuple(bs))) for k, bs in levels)
-        all_boxes = [b for _, eu in built for b in eu.boxes]
-        for i, a in enumerate(all_boxes):
-            for b in all_boxes[i + 1:]:
-                if all(max(al, bl) < min(ah, bh)
-                       for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)):
-                    raise ValueError("step function levels must be pairwise disjoint")
+        _require_disjoint([b for _, eu in built for b in eu.boxes],
+                          "step function levels must be pairwise disjoint")
         return cls(built)
 
     @classmethod

@@ -293,10 +293,24 @@ class TestCurveMonomialize:
         assert cover.diagnostics["uncertified_pieces"] == 0
         # near zero |gamma| ~ |t| (k=1); the unbounded tails run as t^2 (k=2)
         near = [p for p in cover.pieces
-                if p.lo is not None and p.hi is not None and p.lo >= 0 and p.hi <= F(1, 100)]
+                if p.lo is not None and p.hi is not None and 0 <= p.lo < F(1, 100)]
         tails = [p for p in cover.pieces if p.lo is None or p.hi is None]
         assert near and all(p.exponents == (1,) for p in near)
         assert tails and all(p.exponents == (2,) for p in tails)
+
+    def test_piece_containing_its_center_rejected(self):
+        # near 0 the parabola runs as |t|, so (-inf, 20) around 0 is no t^2 piece;
+        # the same check must hold for one scalar group and for the curve group
+        from torsionlab.polyalg import _piece_exponents, _vector_taylor_sq
+
+        comps = [[F(0), F(1)], [F(0), F(0), F(1)]]
+        for groups in ([comps], [[c] for c in comps]):
+            sqs = [_vector_taylor_sq(g, F(0)) for g in groups]
+            assert _piece_exponents(sqs, None, F(20), F(0), F(1, 10)) is None
+            assert _piece_exponents(sqs, F(-1), F(1), F(0), F(1, 10)) is None
+        curve = [_vector_taylor_sq(comps, F(0))]
+        assert _piece_exponents(curve, F(20), None, F(0), F(1, 10)) == (2,)
+        assert _piece_exponents(curve, F(0), F(1, 10), F(0), F(1, 10)) == (1,)
 
     def test_monomial_two_pieces(self):
         t = RatPoly.variable(1, 0)

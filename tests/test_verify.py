@@ -77,6 +77,14 @@ class TestStepFunction:
             BoxUnion((Box((F(0), F(0)), (F(2), F(2))),
                       Box((F(1), F(1)), (F(3), F(3)))))
 
+    def test_levels_disjointness_enforced(self):
+        # each level alone is a valid union; only the two levels overlap
+        with pytest.raises(ValueError, match="step function levels"):
+            StepFunction.from_levels([
+                (0, [Box((F(0), F(0)), (F(2), F(2)))]),
+                (1, [Box((F(1), F(1)), (F(3), F(3)))]),
+            ])
+
 
 class TestRwt:
     def test_scale_invariant_family(self, moment2):
