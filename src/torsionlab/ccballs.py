@@ -210,6 +210,8 @@ def doubling_check(table: WordTable, entries: Sequence[LambdaEntry],
     x2.  Membership failures and Newton non-convergence are reported, never
     papered over; >1% non-convergence marks the whole check inconclusive.
     """
+    if not (rho > 0 and np.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     I1 = tuple(tuple(w) for w in I1)
     I2 = tuple(tuple(w) for w in I2)
     report: dict = {"c": c, "delta": delta, "rho": rho, "seed": seed}
@@ -264,6 +266,10 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     then checked at the inflated radius c * rho^exponent.  The tuple defaults
     to the one maximizing |lambda_I| at the region center.
     """
+    if not (rho > 0 and np.isfinite(rho)):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
     lo = np.asarray(region_lo, dtype=float)
     hi = np.asarray(region_hi, dtype=float)
     n = table.dim

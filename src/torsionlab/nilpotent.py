@@ -556,27 +556,24 @@ def _pullback_fd_check(state: list[RatPoly], head: list[PolyVectorField],
     """
     import numpy as np
 
-    from .numeric import poly_evaluator
+    from .numeric import JacobianEvaluator, MapEvaluator
 
-    maps = [poly_evaluator(m) for m in state]
-    jac_evals = [[poly_evaluator(state[i].partial(j)) for j in range(n)] for i in range(n)]
-    field_evals = [[poly_evaluator(c) for c in X.components] for X in head]
+    phi = MapEvaluator(state)
+    jac = JacobianEvaluator(state, range(n))
+    fields = [MapEvaluator(X.components) for X in head]
     worst = 0.0
     for s_i in range(samples):
-        y = [0.05 * (s_i + 1) * ((j + 1) % 3 + 1) % 0.4 for j in range(n)]
-        arrs = [np.array([v]) for v in y]
-        phi_y = np.array([m(arrs)[0] for m in maps])
-        J = np.array([[jac_evals[i][j](arrs)[0] for j in range(n)] for i in range(n)])
-        phi_arrs = [np.array([v]) for v in phi_y]
-        for fe in field_evals:
-            xval = np.array([c(phi_arrs)[0] for c in fe])
+        y = np.array([0.05 * (s_i + 1) * ((j + 1) % 3 + 1) % 0.4 for j in range(n)])
+        phi_y = phi(y[None])[0]
+        J = jac(y[None])[0]
+        for field in fields:
+            xval = field(phi_y[None])[0]
             try:
                 v = np.linalg.solve(J, xval)
             except np.linalg.LinAlgError:
                 continue
             h = 1e-5
-            arrs2 = [np.array([y[j] + h * v[j]]) for j in range(n)]
-            phi_shift = np.array([m(arrs2)[0] for m in maps])
+            phi_shift = phi((y + h * v)[None])[0]
             defect = float(np.max(np.abs(phi_shift - (phi_y + h * xval)))) / h
             worst = max(worst, defect)
     return {"worst_first_order_defect": worst, "samples": samples}

@@ -1,7 +1,8 @@
 """Float-side helpers: vectorized polynomial evaluation and Newton preimages.
 
-Exact objects cross into floating point exactly here.  Evaluators take one
-numpy array per variable (broadcastable) and return an array; the Newton
+Exact objects cross into floating point exactly here, through one evaluator
+that maps an (m, nvars) array of points to an (m, ncomps) array of values,
+with the same float operations on every row whatever the batch.  The Newton
 solver batches damped iterations over many target points at once, which is
 what ball-membership testing needs.
 """
@@ -15,61 +16,52 @@ import numpy as np
 from .polycore import RatPoly
 
 
-def poly_evaluator(p: RatPoly) -> Callable[[Sequence[np.ndarray]], np.ndarray]:
-    """Compile a RatPoly into a vectorized float evaluator."""
-    terms = [(float(c), exp) for exp, c in p.sorted_terms()]
-    nvars = p.nvars
-
-    def ev(args: Sequence[np.ndarray]) -> np.ndarray:
-        if len(args) != nvars:
-            raise ValueError(f"expected {nvars} arrays, got {len(args)}")
-        args = [np.asarray(a, dtype=float) for a in args]
-        shape = np.broadcast_shapes(*(a.shape for a in args)) if args else ()
-        out = np.zeros(shape)
-        for c, exp in terms:
-            term = np.full(shape, c)
-            for i, e in enumerate(exp):
-                if e == 1:
-                    term = term * args[i]
-                elif e > 1:
-                    term = term * args[i] ** e
-            out += term
-        return out
-
-    return ev
-
-
 class MapEvaluator:
-    """Vectorized evaluator for a tuple of RatPolys sharing one variable space."""
+    """Vectorized evaluator for a tuple of RatPolys sharing one variable space.
+
+    Each component compiles to its terms in ``sorted_terms`` order, each a
+    float coefficient and its nonzero (variable, exponent) factors.
+    """
 
     def __init__(self, components: Sequence[RatPoly]):
-        self.components = tuple(components)
-        self.nvars = self.components[0].nvars
-        self._evs = [poly_evaluator(c) for c in self.components]
+        self.nvars = components[0].nvars
+        self._terms = [
+            [(float(c), [(i, e) for i, e in enumerate(exp) if e])
+             for exp, c in p.sorted_terms()]
+            for p in components
+        ]
+
+    def _eval(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.nvars:
+            raise ValueError(f"expected points of shape (m, {self.nvars}), got {points.shape}")
+        m = len(points)
+        out = np.zeros((m, len(self._terms)))
+        for j, terms in enumerate(self._terms):
+            for c, factors in terms:
+                term = np.full(m, c)
+                for i, e in factors:
+                    term = term * (points[:, i] if e == 1 else points[:, i] ** e)
+                out[:, j] += term
+        return out
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """points: (m, nvars) -> (m, ncomps)."""
-        points = np.asarray(points, dtype=float)
-        cols = [points[:, i] for i in range(self.nvars)]
-        return np.stack([ev(cols) for ev in self._evs], axis=1)
+        return self._eval(points)
 
 
-class JacobianEvaluator:
+class JacobianEvaluator(MapEvaluator):
     """Vectorized Jacobian of selected variables of a polynomial map."""
 
     def __init__(self, components: Sequence[RatPoly], wrt: Sequence[int]):
-        self.wrt = list(wrt)
-        self._evs = [
-            [poly_evaluator(c.partial(j)) for j in self.wrt] for c in components
-        ]
-        self.nvars = components[0].nvars
+        wrt = list(wrt)
+        self._shape = (len(components), len(wrt))
+        super().__init__([c.partial(j) for c in components for j in wrt])
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """points: (m, nvars) -> (m, ncomps, len(wrt))."""
-        points = np.asarray(points, dtype=float)
-        cols = [points[:, i] for i in range(self.nvars)]
-        rows = [[ev(cols) for ev in row] for row in self._evs]
-        return np.stack([np.stack(r, axis=1) for r in rows], axis=1)
+        vals = self._eval(points)
+        return vals.reshape(len(vals), *self._shape)
 
 
 def newton_preimage(

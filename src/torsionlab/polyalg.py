@@ -568,20 +568,16 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
 def sublevel_measure(P: RatPoly, eps: float, n_samples: int = 1 << 15,
                      seed: int = 0) -> dict:
     """QMC estimate of |{x in [-1,1]^n : |P(x)| < eps * sup |P|}|."""
-    from .numeric import poly_evaluator
+    from .numeric import MapEvaluator
     from .sampling import halton
 
-    n = P.nvars
-    ev = poly_evaluator(P)
-    u = halton(n, n_samples, seed=seed)
-    x = 2.0 * u - 1.0
-    cols = [x[:, i] for i in range(n)]
-    vals = np.abs(ev(cols))
+    u = halton(P.nvars, n_samples, seed=seed)
+    vals = np.abs(MapEvaluator((P,))(2.0 * u - 1.0)[:, 0])
     sup = float(vals.max())
     if sup == 0:
         raise HypothesisNotMet("P must not vanish identically")
     frac = float((vals < eps * sup).mean())
-    return {"measure": frac * 2.0**n, "sup_norm": sup, "eps": eps,
+    return {"measure": frac * 2.0**P.nvars, "sup_norm": sup, "eps": eps,
             "n_samples": n_samples}
 
 
@@ -629,26 +625,31 @@ class MonomialCover:
     def verify_samples(self, polys: Sequence[list[Fraction]], count: int = 64) -> bool:
         """Domination inequality at ``count`` samples of every certified piece.
 
-        Gutter pieces (hairline brackets around irrational real roots, where
-        no rational-data piece can satisfy the inequality) are skipped; their
-        total measure is in the diagnostics.
+        A piece with one exponent for several polynomials comes from a curve
+        cover and is checked on |gamma|; both kinds compare squared magnitudes
+        against eps^2.  Gutter pieces (hairline brackets around irrational
+        real roots, where no rational-data piece can satisfy the inequality)
+        are skipped; their total measure is in the diagnostics.
         """
+        eps2 = self.eps * self.eps
         for piece in self.pieces:
             if not piece.certified:
                 continue
-            taylors = [_taylor_terms(p, piece.center) for p in polys]
+            curve = len(piece.exponents) == 1 < len(polys)
+            groups = [polys] if curve else [[p] for p in polys]
             samples = piece.contains_samples(count)
-            for cs, k_star in zip(taylors, piece.exponents):
-                if k_star >= len(cs) or cs[k_star] == 0:
-                    if any(c != 0 for c in cs):
+            for group, k_star in zip(groups, piece.exponents):
+                sq = _vector_taylor_sq(group, piece.center)
+                if k_star >= len(sq) or sq[k_star] == 0:
+                    if any(sq):
                         return False
                     continue
                 for t in samples:
-                    d = abs(t - piece.center)
-                    lead = abs(cs[k_star]) * d ** k_star
-                    for k, ck in enumerate(cs):
-                        if k != k_star and ck != 0 and abs(ck) * d ** k > self.eps * lead:
-                            return False
+                    d2 = (t - piece.center) ** 2
+                    lead = sq[k_star] * d2 ** k_star
+                    if any(k != k_star and c * d2 ** k > eps2 * lead
+                           for k, c in enumerate(sq)):
+                        return False
         return True
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import PolyMap
-from .numeric import MapEvaluator, poly_evaluator
+from .numeric import MapEvaluator
 from .polycore import RatPoly
 from .sampling import qmc_mean, scale_to_box
 from .scenes import Box
@@ -104,17 +104,16 @@ class RegionSpec:
     e2: BoxUnion | None = None
 
 
-class WeightEvaluator:
+class WeightEvaluator(MapEvaluator):
     """rho_beta(x) = |J_beta(x)|^rho_exponent as a vectorized float map."""
 
     def __init__(self, profile: TorsionProfile):
-        self.profile = profile
-        self._ev = poly_evaluator(profile.J_beta)
+        super().__init__((profile.J_beta,))
         self._exp = float(profile.rho_exponent)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
-        cols = [pts[:, i] for i in range(pts.shape[1])]
-        return np.abs(self._ev(cols)) ** self._exp
+        """pts: (m, nvars) -> (m,)."""
+        return np.abs(self._eval(pts)[:, 0]) ** self._exp
 
 
 def _band_mask(rho: np.ndarray, band: int | None) -> np.ndarray:
@@ -342,10 +341,9 @@ def coarea_check(gamma: Sequence[RatPoly], x_box: Box, t_box: Box,
     over a bounding box of the section coordinates.
     """
     d = len(gamma)
-    gam_evs = [poly_evaluator(g) for g in gamma]
+    gam = MapEvaluator(gamma)
     t_lo, t_hi = float(t_box.lo[0]), float(t_box.hi[0])
-    grid = np.linspace(t_lo, t_hi, 512)
-    gvals = np.stack([ev([grid]) for ev in gam_evs], axis=1)
+    gvals = gam(np.linspace(t_lo, t_hi, 512)[:, None])
     y_lo = [float(x_box.lo[i]) - float(gvals[:, i].max()) for i in range(d)]
     y_hi = [float(x_box.hi[i]) - float(gvals[:, i].min()) for i in range(d)]
     lo = y_lo + [t_lo]
@@ -353,9 +351,7 @@ def coarea_check(gamma: Sequence[RatPoly], x_box: Box, t_box: Box,
 
     def f(u: np.ndarray) -> np.ndarray:
         z = scale_to_box(u, lo, hi)
-        y, t = z[:, :d], z[:, d]
-        g = np.stack([ev([t]) for ev in gam_evs], axis=1)
-        x = y + g
+        x = z[:, :d] + gam(z[:, d:])
         keep = np.ones(len(z), dtype=bool)
         for i in range(d):
             keep &= (x[:, i] >= float(x_box.lo[i])) & (x[:, i] < float(x_box.hi[i]))

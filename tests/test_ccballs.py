@@ -143,7 +143,7 @@ class TestVitali:
 
     def test_count_grows_as_rho_shrinks(self, moment2):
         counts = []
-        for rho in (4.0, 1.0, 0.25):
+        for rho in (64.0, 32.0, 16.0):
             r = vitali_cover(moment2["table"], moment2["entries"],
                              [-0.5] * 3, [0.5] * 3, rho=rho, delta=0.5,
                              grid=3, seed=2)

@@ -151,3 +151,13 @@ class TestContracts:
         main(["verify", "rwt", "--scene", scene_file, "--seed", "1",
               "--out", str(path2)])
         assert path1.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("args, field", [
+        (["--check", "cover", "--rho", "-1"], "rho"),
+        (["--check", "doubling", "--rho", "-1"], "rho"),
+        (["--check", "cover", "--grid", "0"], "grid"),
+    ])
+    def test_bad_ccball_radius_or_grid_exit_2(self, args, field, capsys):
+        code = main(["ccball", "--scene", "builtin:moment2", *args])
+        assert code == 2
+        assert field in capsys.readouterr().err

@@ -322,19 +322,22 @@ class TestCurveMonomialize:
         gamma = [t + 1, t ** 3]
         cover = curve_monomialize(gamma, F(1, 10))
         assert cover.diagnostics["uncertified_pieces"] == 0
-        # sample-verify the vector domination on every piece
-        from torsionlab.polyalg import _vector_taylor_sq, from_ratpoly
+        from torsionlab.polyalg import from_ratpoly
 
-        dense = [from_ratpoly(g) for g in gamma]
-        for piece in cover.pieces:
-            sq = _vector_taylor_sq(dense, piece.center)
-            k_star = piece.exponents[0]
-            for s in piece.contains_samples(16):
-                d = abs(s - piece.center)
-                lead = sq[k_star] * d ** (2 * k_star)
-                for k, c in enumerate(sq):
-                    if k != k_star and c != 0:
-                        assert c * d ** (2 * k) <= F(1, 100) * lead
+        assert cover.verify_samples([from_ratpoly(g) for g in gamma], 16)
+
+    def test_verify_samples_checks_curve_covers(self):
+        # one exponent for two polynomials marks a curve cover, which is
+        # checked on |gamma|, not component by component
+        from dataclasses import replace
+
+        gamma = [[F(0), F(1)], [F(0), F(0), F(1)]]
+        cover = curve_monomialize(gamma, F(1, 10))
+        assert len(cover.pieces) == 153
+        assert cover.verify_samples(gamma, 16)
+        i = next(i for i, p in enumerate(cover.pieces) if p.exponents == (1,))
+        cover.pieces[i] = replace(cover.pieces[i], exponents=(2,))
+        assert not cover.verify_samples(gamma, 16)
 
 
 class TestTangencyScan:
