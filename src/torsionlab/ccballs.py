@@ -58,7 +58,7 @@ class BallSample:
     spec: BallSpec
     points: np.ndarray
     volume_estimate: float
-    volume_stderr: float
+    volume_stderr: float | None  # None for occupancy counts, which carry no error bar
     jac_range: tuple[float, float]
     method: str
     n_samples: int
@@ -167,7 +167,7 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
         for row in scaled:
             cells.add(tuple(row.tolist()))
         vol = len(cells) * float(np.prod(span / g))
-        stderr = float("nan")
+        stderr = None
         method = "occupancy"
     return BallSample(
         spec=spec,
@@ -197,6 +197,15 @@ def _lambda_nondegeneracy(entries: Sequence[LambdaEntry], words: tuple[Word, ...
     return target, biggest
 
 
+def _check_ball_params(rho: float, delta: float, c: float) -> None:
+    for name, value in (("rho", rho), ("c", c)):
+        if not (value > 0 and np.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    # delta > 1 is legal: it selects nothing, since |lambda_I| <= |Lambda|
+    if not (delta >= 0 and np.isfinite(delta)):
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
+
+
 def doubling_check(table: WordTable, entries: Sequence[LambdaEntry],
                    x1: Sequence, x2: Sequence,
                    I1: Sequence[Word], I2: Sequence[Word],
@@ -210,8 +219,9 @@ def doubling_check(table: WordTable, entries: Sequence[LambdaEntry],
     x2.  Membership failures and Newton non-convergence are reported, never
     papered over; >1% non-convergence marks the whole check inconclusive.
     """
-    if not (rho > 0 and np.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    _check_ball_params(rho, delta, c)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     I1 = tuple(tuple(w) for w in I1)
     I2 = tuple(tuple(w) for w in I2)
     report: dict = {"c": c, "delta": delta, "rho": rho, "seed": seed}
@@ -266,8 +276,7 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     then checked at the inflated radius c * rho^exponent.  The tuple defaults
     to the one maximizing |lambda_I| at the region center.
     """
-    if not (rho > 0 and np.isfinite(rho)):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    _check_ball_params(rho, delta, c)
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
     lo = np.asarray(region_lo, dtype=float)
@@ -276,7 +285,7 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     mid = [Fraction(a + b).limit_denominator(10**6) / 2 for a, b in zip(region_lo, region_hi)]
     if words is None:
         if not entries:
-            return {"centers": [], "count": 0, "covered_fraction": float("nan"),
+            return {"centers": [], "count": 0, "covered_fraction": None,
                     "reason": "no nonzero lambda classes"}
         words = max(entries, key=lambda e: abs(float(e.poly.eval(mid)))).words
     words = tuple(tuple(w) for w in words)
@@ -290,7 +299,7 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     mine = vals[:, idx[0]] if idx else np.zeros(len(mesh))
     eligible = mesh[(mine >= delta * big) & (big > 0)]
     if len(eligible) == 0:
-        return {"centers": [], "count": 0, "covered_fraction": float("nan"),
+        return {"centers": [], "count": 0, "covered_fraction": None,
                 "reason": "no eligible grid points", "words": [list(w) for w in words]}
     r_small = (c ** 2) * (rho ** exponent)
     r_big = c * (rho ** exponent)

@@ -256,6 +256,10 @@ def cmd_malcev(args) -> int:
 def cmd_polyalg(args) -> int:
     from . import polyalg as pa
 
+    option = {"monomialize": "poly", "sublevel": "poly", "refine": "set",
+              "extract": "coeffs"}[args.algorithm]
+    if getattr(args, option) is None:
+        raise CliError(f"polyalg {args.algorithm} needs --{option}")
     if args.algorithm == "monomialize":
         with open(args.poly) as fh:
             data = json.load(fh)

@@ -18,7 +18,6 @@ vanishes, all longer words vanish with it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -183,14 +182,6 @@ def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(tuple(comps))
 
 
-def enumerate_words(max_len: int) -> list[Word]:
-    """All words over {1,2} up to max_len, length-major then lexicographic."""
-    out: list[Word] = []
-    for length in range(1, max_len + 1):
-        out.extend(itertools.product((1, 2), repeat=length))
-    return out
-
-
 @dataclass
 class WordTable:
     """Cache of all nonzero bracket fields X_w with |w| <= cap."""
@@ -293,16 +284,6 @@ class FlowMap:
     @property
     def dim(self) -> int:
         return self.vector_field.dim
-
-    @property
-    def time_var(self) -> int:
-        return self.dim
-
-    def at_time(self, t) -> list[RatPoly]:
-        """Substitute a rational time, leaving a map in the state variables."""
-        n = self.dim
-        subs = RatPoly.variables(n) + [RatPoly.const(n, t)]
-        return [m.compose(subs) for m in self.map]
 
     def eval(self, time, point: Sequence) -> list[Fraction]:
         pt = list(point) + [time]

@@ -120,10 +120,6 @@ def from_ratpoly(p: RatPoly) -> list[Fraction]:
     return utrim(out)
 
 
-def to_ratpoly(coeffs: Sequence) -> RatPoly:
-    return RatPoly(1, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
-
-
 # -- Sturm chains and exact real-root isolation --------------------------------
 
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
@@ -174,7 +170,12 @@ def isolate_real_roots(p: list[Fraction], lo: Fraction | None = None,
     hi = B if hi is None else Fraction(hi)
     if lo >= hi:
         return []
-    chain = _sturm_chain(sf)
+    return _isolate(sf, _sturm_chain(sf), lo, hi)
+
+
+def _isolate(sf: list[Fraction], chain: list[list[Fraction]], lo: Fraction,
+             hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Bisect (lo, hi] into sorted intervals (a, b], one root of sf each."""
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(a: Fraction, b: Fraction, va: int, vb: int):
@@ -190,7 +191,28 @@ def isolate_real_roots(p: list[Fraction], lo: Fraction | None = None,
         rec(m, b, vm, vb)
 
     rec(lo, hi, _sign_changes(chain, lo), _sign_changes(chain, hi))
-    return sorted(out)
+    return out
+
+
+def _gap_points(p: list[Fraction], lo: Fraction) -> list[Fraction]:
+    """One rational point in each open gap between the distinct roots of p in (lo, inf).
+
+    The first point lies in (lo, first root), the last one beyond the last
+    root.  The gap ending at the root r isolated in (a, b] gets the first of
+    (a + b)/2, (3a + b)/4, ... left of r; a is at or past the previous root.
+    r is a simple root of the squarefree part, so m in (a, b) is left of r
+    exactly when r = b or m has the sign opposite to b.
+    """
+    sf = usquarefree(list(p))
+    hi = max(root_bound(sf), lo + 1)  # the Cauchy bound is strict
+    points = []
+    for a, b in _isolate(sf, _sturm_chain(sf), lo, hi):
+        vb = ueval(sf, b)
+        m = (a + b) / 2
+        while vb and ueval(sf, m) * vb >= 0:
+            m = (a + m) / 2
+        points.append(m)
+    return points + [hi]
 
 
 def refine_root(p: list[Fraction], interval: tuple[Fraction, Fraction],
@@ -239,103 +261,16 @@ class ExtractResult:
     counterexample: Fraction | None = None
 
 
-def _refine_to_clean(sf: list[Fraction], a: Fraction, b: Fraction):
-    """Sharpen an isolating interval (a, b] of the squarefree part.
-
-    Returns ('point', r) when bisection lands exactly on the root, else
-    ('interval', a', b') with sf nonzero at both endpoints and the single
-    root strictly inside.  The left endpoint of the input may be a root of a
-    neighboring interval, so it is never evaluated.
-    """
-    vb = ueval(sf, b)
-    if vb == 0:
-        return ("point", b)
-    while True:
-        m = (a + b) / 2
-        vm = ueval(sf, m)
-        if vm == 0:
-            return ("point", m)
-        if (vm > 0) != (vb > 0):
-            return ("interval", m, b)
-        b, vb = m, vm
-
-
-def _find_negative_near(q: list[Fraction], r: Fraction, lo: Fraction,
-                        hi: Fraction) -> Fraction:
-    """Rational point with q < 0 in a punctured neighborhood of r in (lo, hi)."""
-    for j in range(1, 4000):
-        for s in (r - (r - lo) / 2**j, r + (hi - r) / 2**j):
-            if s > 0 and s != r and ueval(q, s) < 0:
-                return s
-    raise ArithmeticError("no negative value found near a sign-changing root")
-
-
 def _nonneg_on_positive_axis(q: list[Fraction]) -> tuple[bool, Fraction | None]:
-    """Exactly decide q >= 0 on (0, inf); rational counterexample when false."""
+    """Exactly decide q >= 0 on (0, inf); rational counterexample when false.
+
+    q keeps one sign between consecutive roots, so one point per gap decides.
+    """
     q = utrim([Fraction(c) for c in q])
     if not q:
         return True, None
-    # strip the t^m factor; it is positive on the open axis
-    while q[0] == 0:
-        q = q[1:]
-    if len(q) == 1:
-        return (True, None) if q[0] > 0 else (False, Fraction(1))
-    sf = usquarefree(q)
-    reps = []  # (lower, upper, kind, payload) sorted by position
-    for a, b in isolate_real_roots(sf, lo=Fraction(0)):
-        kind = _refine_to_clean(sf, a, b)
-        if kind[0] == "point":
-            r = kind[1]
-            reps.append((r, r, "point", r))
-        else:
-            _, a2, b2 = kind
-            reps.append((a2, b2, "interval", (a2, b2)))
-    reps.sort()
-    far = max(root_bound(q), reps[-1][1] + 1 if reps else Fraction(1)) + 1
-    # gap samples: below the first root, between roots, beyond the last
-    gaps = []
-    if reps:
-        gaps.append(reps[0][0] / 2)
-        for cur, nxt in zip(reps, reps[1:]):
-            gaps.append((cur[1] + nxt[0]) / 2)
-        gaps.append(far)
-    else:
-        gaps.append(Fraction(1))
-    for s in gaps:
-        if s > 0 and ueval(q, s) < 0:
-            return False, s
-    for i, (lower, upper, kind, payload) in enumerate(reps):
-        if kind == "interval":
-            a2, b2 = payload
-            for s in (a2, b2):
-                if ueval(q, s) < 0:
-                    return False, s
-            # both flanks positive: the single (hence even-order) root inside
-            # cannot dip below zero
-        else:
-            r = payload
-            h = list(q)
-            mult = 0
-            while True:
-                quo, rem = udivmod(h, [-r, Fraction(1)])
-                if rem:
-                    break
-                h = quo
-                mult += 1
-            if mult % 2 == 1 or ueval(h, r) < 0:
-                left = reps[i - 1][1] if i > 0 else Fraction(0)
-                right = reps[i + 1][0] if i + 1 < len(reps) else far
-                return False, _find_negative_near(q, r, left, right)
-    return True, None
-
-
-def _dominates_on_positive_axis(coeffs: list[Fraction], k: int) -> tuple[bool, Fraction | None]:
-    """Exactly decide t^k <= p(t) for all t > 0; counterexample when false."""
-    q = [Fraction(c) for c in coeffs]
-    while len(q) <= k:
-        q.append(Fraction(0))
-    q[k] -= 1
-    return _nonneg_on_positive_axis(q)
+    counter = next((s for s in _gap_points(q, Fraction(0)) if ueval(q, s) < 0), None)
+    return counter is None, counter
 
 
 def extract_two_terms(coeffs: Sequence, k: int) -> ExtractResult:
@@ -351,7 +286,9 @@ def extract_two_terms(coeffs: Sequence, k: int) -> ExtractResult:
         raise HypothesisNotMet("coefficients must be nonnegative")
     if k < 0:
         raise HypothesisNotMet("k must be nonnegative")
-    holds, counter = _dominates_on_positive_axis(cs, k)
+    q = cs + [Fraction(0)] * (k + 1 - len(cs))
+    q[k] -= 1
+    holds, counter = _nonneg_on_positive_axis(q)
     if not holds:
         return ExtractResult(kind="fail", holds=False, counterexample=counter)
     if k < len(cs) and cs[k] >= 1:
@@ -367,13 +304,10 @@ def extract_two_terms(coeffs: Sequence, k: int) -> ExtractResult:
             # compare on a common footing: normalize exponent sum to n2 - n1
             if best is None or prod ** (best[2] - best[1]) > best[0] ** (n2 - n1):
                 best = (prod, n1, n2)
-    if best is not None:
-        prod, n1, n2 = best
-        return ExtractResult(kind="pair", holds=True, n1=n1, n2=n2, achieved=prod)
-    # domination without any pair: only possible via the single term a_k < 1?
-    # no -- it requires a_k >= 1 exactly at t -> the balancing scale; record it
-    return ExtractResult(kind="single", holds=True, n1=k, n2=k,
-                         achieved=cs[k] if k < len(cs) else Fraction(0))
+    # domination with a_k < 1 forces nonzero terms below and above k
+    # (t -> 0 and t -> inf), so a pair exists
+    prod, n1, n2 = best
+    return ExtractResult(kind="pair", holds=True, n1=n1, n2=n2, achieved=prod)
 
 
 # -- interval refinement (stopping time) ----------------------------------------
@@ -410,9 +344,6 @@ class IntervalSet:
         if not self.intervals:
             raise ValueError("empty interval set")
         return (self.intervals[0][0], self.intervals[-1][1])
-
-    def to_json(self) -> list:
-        return [[str(a), str(b)] for a, b in self.intervals]
 
 
 def _passes_threshold(mass: Fraction, total: Fraction, cprime: Fraction,
@@ -926,7 +857,13 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
 
 def _abs_range_intervals(p: list[Fraction], lo_val: Fraction,
                          hi_val: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Exact interval decomposition of {t : lo_val <= |p(t)| <= hi_val}."""
+    """Interval decomposition of {t : lo_val <= |p(t)| <= hi_val}, to within 1e-9.
+
+    The cuts are the ends of the root brackets of p^2 - lo_val^2 and
+    p^2 - hi_val^2, refined to width 1e-9.  A bracket cell is kept or dropped
+    whole by its midpoint, so each end of a returned interval can be off by
+    up to 1e-9.
+    """
     psq = umul(p, p)
     qlo = uadd(psq, [-lo_val * lo_val])
     qhi = uadd(psq, [-hi_val * hi_val])
@@ -959,8 +896,9 @@ def scale_count(p1: RatPoly | Sequence, p2: RatPoly | Sequence,
                 a1: int, a2: int, k_range: Sequence[int]) -> dict:
     """Count integers k admitting t with |p1(t)| ~ 2^(a1 k), |p2(t)| ~ 2^(-a2 k).
 
-    Feasibility per k is decided by exact interval decomposition of both
-    two-sided conditions and an interval intersection.
+    Feasibility per k intersects the interval decompositions of both
+    two-sided conditions.  Their ends are placed only to within 1e-9, so two
+    sets closer than 1e-9 can be counted as overlapping.
     """
     c1 = from_ratpoly(p1) if isinstance(p1, RatPoly) else [Fraction(x) for x in p1]
     c2 = from_ratpoly(p2) if isinstance(p2, RatPoly) else [Fraction(x) for x in p2]

@@ -92,11 +92,6 @@ class Scene:
         x1, x2 = self.fields()
         return build_word_table(x1, x2, self.cap)
 
-    def default_beta(self) -> tuple[int, ...]:
-        if self.beta is not None:
-            return self.beta
-        raise SceneValidationError("scene has no beta and none was supplied")
-
     def to_json_dict(self) -> dict:
         out = {
             "pi1": self.pi1.to_json_dict(),

@@ -141,6 +141,10 @@ class TestVitali:
                          [-0.1] * 3, [0.1] * 3, rho=0.25, delta=1.5, grid=2)
         assert r["count"] == 0
 
+    def test_no_lambda_classes_reports_null(self, moment2):
+        r = vitali_cover(moment2["table"], [], [-0.1] * 3, [0.1] * 3, rho=0.25)
+        assert r["count"] == 0 and r["covered_fraction"] is None
+
     def test_count_grows_as_rho_shrinks(self, moment2):
         counts = []
         for rho in (64.0, 32.0, 16.0):

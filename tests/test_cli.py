@@ -27,10 +27,14 @@ def scene_file(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
 
 
 class TestSubcommands:
@@ -93,6 +97,23 @@ class TestSubcommands:
             ["polyalg", "extract", "--coeffs", "1,0,1", "--k", "1"], capsys)
         assert code == 0
         assert out["kind"] == "pair" and out["holds"]
+
+    def test_cover_without_eligible_points_reports_null(self, capsys):
+        # delta above 1 leaves no eligible grid point
+        code, out = run(["ccball", "--scene", "builtin:moment2", "--check", "cover",
+                         "--delta", "2", "--grid", "2"], capsys)
+        assert code == 0
+        assert out["count"] == 0 and out["covered_fraction"] is None
+
+    def test_occupancy_sample_reports_null_stderr(self, tmp_path, capsys):
+        # a repeated word makes the Jacobian vanish, which forces occupancy counting
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"center": [0, 0, 0], "words": [[1], [1], [2]],
+                                    "alpha": [1, 1]}))
+        code, out = run(["ccball", "--scene", "builtin:moment2", "--spec", str(spec),
+                         "--samples", "200"], capsys)
+        assert code == 0
+        assert out["method"] == "occupancy" and out["volume_stderr"] is None
 
     def test_polyalg_refine(self, capsys):
         code, out = run(
@@ -161,3 +182,24 @@ class TestContracts:
         code = main(["ccball", "--scene", "builtin:moment2", *args])
         assert code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, option", [
+        (["polyalg", "extract"], "--coeffs"),
+        (["polyalg", "monomialize"], "--poly"),
+        (["polyalg", "sublevel"], "--poly"),
+        (["polyalg", "refine"], "--set"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "doubling",
+          "--samples", "0"], "samples"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "cover",
+          "--delta", "nan"], "delta"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "cover",
+          "--delta", "-1"], "delta"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "doubling",
+          "--delta", "inf"], "delta"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "doubling",
+          "--c", "nan"], "c must"),
+    ])
+    def test_missing_or_bad_option_is_named(self, args, option, capsys):
+        code = main(args)
+        assert code == 2
+        assert option in capsys.readouterr().err

@@ -25,7 +25,9 @@ from torsionlab.polyalg import (
     sublevel_sweep,
     tangency_scan,
     ueval,
+    umul,
 )
+from torsionlab.polyalg import _gap_points, _nonneg_on_positive_axis
 from torsionlab.polycore import RatPoly
 
 
@@ -59,6 +61,33 @@ class TestRootIsolation:
             assert b1 <= a2
 
 
+def from_roots(*roots):
+    p = [F(1)]
+    for r in roots:
+        p = umul(p, [-F(r), F(1)])
+    return p
+
+
+class TestGapPoints:
+    def test_roots_on_bisection_points(self):
+        # the bisection of (0, 4] lands on every positive root, 0 is a root at
+        # the left end, and the root at 1 is double
+        p = from_roots(F(-1, 2), 0, F(1, 2), 1, 1, 2)
+        assert all(ueval(p, b) == 0 for _, b in isolate_real_roots(p, lo=F(0)))
+        pts = _gap_points(p, F(0))
+        edges = [F(0), F(1, 2), F(1), F(2)]
+        assert len(pts) == len(edges)
+        for s, lo, hi in zip(pts, edges, edges[1:] + [None]):
+            assert lo < s and (hi is None or s < hi)
+
+    def test_triple_root_counterexample(self):
+        # never reached through extract_two_terms: p(t) - t^k has at most two
+        # sign changes, so by Descartes at most two positive roots
+        q = from_roots(1, 1, 1, -2)
+        holds, c = _nonneg_on_positive_axis(q)
+        assert not holds and c > 0 and ueval(q, c) < 0
+
+
 class TestExtractTwoTerms:
     def test_amgm_pair(self):
         r = extract_two_terms([1, 0, 1], 1)
@@ -74,6 +103,15 @@ class TestExtractTwoTerms:
         assert r.kind == "fail"
         t = r.counterexample
         assert t > 0 and F(1, 10) * t < t  # p(t) < t^k at the witness
+
+    def test_touching_root_holds(self):
+        # p(t) - t = (t - 1/2)^2 touches 0 at t = 1/2; the pair product is 1/4
+        r = extract_two_terms([F(1, 4), 0, 1], 1)
+        assert r.holds and (r.kind, r.n1, r.n2, r.achieved) == ("pair", 0, 2, F(1, 4))
+        coeffs = [F(1, 4) - F(1, 10**6), 0, 1]
+        r = extract_two_terms(coeffs, 1)
+        t = r.counterexample
+        assert r.kind == "fail" and t > 0 and ueval(coeffs, t) < t
 
     def test_nonnegative_required(self):
         with pytest.raises(HypothesisNotMet):
