@@ -204,7 +204,8 @@ def cmd_ccball(args) -> int:
         lo = [-0.5] * scene.dim
         hi = [0.5] * scene.dim
         report = vitali_cover(table, entries, lo, hi, rho=args.rho,
-                              delta=args.delta, grid=args.grid, seed=args.seed)
+                              delta=args.delta, grid=args.grid, c=args.c,
+                              seed=args.seed)
         dump_report(report, args.out)
         return EXIT_OK
     raise CliError(f"unknown ccball check {args.check!r}")

@@ -246,50 +246,90 @@ def _dynkin_terms(step: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     ))
 
 
-def abstract_algebra(table: WordTable, step: int) -> AbstractNilpotent:
-    """Basis and exact structure constants of the algebra a table spans.
+@dataclass(frozen=True)
+class WordBasis:
+    """Greedy Q-basis of a table's word fields and every word's coordinates.
 
-    The basis is the greedy maximal Q-independent subset of the nonzero word
-    fields in length-then-lex order; every pairwise bracket is then expressed
-    in that basis.  A bracket outside the span raises DependentBracket (it
-    signals an incomplete table, not a recoverable state).
+    The basis is the greedy maximal Q-independent subset of the word fields in
+    length-then-lex order.  ``coords[w]`` holds the exact coefficients c_j
+    with X_w = sum_j c_j * fields[j], for every word of the table.
+    """
+
+    words: tuple[Word, ...]
+    fields: tuple[PolyVectorField, ...]
+    coords: dict[Word, tuple[Fraction, ...]]
+    index: dict
+    ops: list[list[Fraction]]  # row operations that reduce the word matrix
+
+    def coordinates(self, f: PolyVectorField) -> tuple[Fraction, ...] | None:
+        """Coordinates of f in the basis; None when f leaves the span."""
+        if any((i, exp) not in self.index
+               for i, comp in enumerate(f.components) for exp in comp.terms):
+            return None
+        vec = _field_vector(f, self.index)
+        nz = [(i, v) for i, v in enumerate(vec) if v != 0]
+        red = [sum((row[i] * v for i, v in nz), Fraction(0)) for row in self.ops]
+        dim = len(self.fields)
+        if any(x != 0 for x in red[dim:]):
+            return None
+        return tuple(red[:dim])
+
+
+def word_basis(table: WordTable) -> WordBasis:
+    """Basis fields of the span of a table's word fields, with coordinates.
+
+    One row reduction of [A | I], where column j of A is the coefficient
+    vector of the j-th word field: the pivot columns of A are the greedy basis
+    and column j of the reduced A holds word j's coordinates.  The reduced I
+    is the row-operation matrix, which ``coordinates`` applies to other fields.
     """
     words = table.words()
-    if not words:
-        raise ValueError("empty word table")
     index: dict = {}
     for w in words:
         for comp_i, comp in enumerate(table.entries[w].components):
             for exp in comp.terms:
                 index.setdefault((comp_i, exp), len(index))
-    basis_words: list[Word] = []
-    vectors: list[list[Fraction]] = []
-    rref_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for w in words:
-        vec = _field_vector(table.entries[w], index)
-        if _in_span(rref_rows, pivots, vec) is None:
-            basis_words.append(w)
-            vectors.append(vec)
-            rref_rows, pivots = _echelon(vectors)
+    m, nw = len(index), len(words)
+    cols = [_field_vector(table.entries[w], index) for w in words]
+    rref, pivots = _echelon(
+        [[c[i] for c in cols] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    )
+    basis = [p for p in pivots if p < nw]
+    return WordBasis(
+        words=tuple(words[p] for p in basis),
+        fields=tuple(table.entries[words[p]] for p in basis),
+        coords={w: tuple(r[j] for r in rref[:len(basis)]) for j, w in enumerate(words)},
+        index=index,
+        ops=[r[nw:] for r in rref],
+    )
+
+
+def abstract_algebra(table: WordTable, step: int) -> AbstractNilpotent:
+    """Basis and exact structure constants of the algebra a table spans.
+
+    The basis is the greedy one of ``word_basis``; every pairwise bracket is
+    then expressed in that basis.  A bracket outside the span raises
+    DependentBracket (it signals an incomplete table, not a recoverable state).
+    """
+    if not table.words():
+        raise ValueError("empty word table")
+    basis = word_basis(table)
     struct: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    fields = [table.entries[w] for w in basis_words]
+    fields = basis.fields
     from .geometry import lie_bracket
 
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            br = lie_bracket(fields[i], fields[j])
-            vec = _field_vector(br, index)
-            coeffs = _solve_in_basis(vectors, vec)
+            coeffs = basis.coordinates(lie_bracket(fields[i], fields[j]))
             if coeffs is None:
                 raise DependentBracket(
-                    f"[{basis_words[i]}, {basis_words[j]}] escapes the stored span"
+                    f"[{basis.words[i]}, {basis.words[j]}] escapes the stored span"
                 )
-            struct[(i, j)] = tuple(coeffs)
+            struct[(i, j)] = coeffs
     return AbstractNilpotent(
-        dim=len(basis_words),
-        basis_words=tuple(basis_words),
-        basis_fields=tuple(fields),
+        dim=len(fields),
+        basis_words=basis.words,
+        basis_fields=fields,
         struct=struct,
         step=step,
     )

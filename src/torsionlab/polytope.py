@@ -5,6 +5,16 @@ fields, tagged with the componentwise bidegree of its word tuple.  Entries are
 grouped up to sign: tuples whose determinants agree after sign normalization
 describe the same geometric class and are stored once.
 
+The determinants are computed through Lie-algebra coordinates.  Every word
+field is a rational combination X_w = sum_j C[w, j] E_j of the basis fields
+E_1..E_N of the nilpotent algebra, so by Cauchy-Binet
+
+    det(X_{w_1}, ..., X_{w_n}) = sum_{|S| = n} det(C[W, S]) * det(E_S).
+
+Only the C(N, n) polynomial determinants det(E_S) are formed; each word tuple
+costs rational minors.  The identity is exact, so the classes are the ones a
+polynomial determinant of every tuple gives.
+
 The polytopes here live in Z^2 >= 0 and are always of the form
 
     ch(generators) + [0, infinity)^2,
@@ -23,6 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import Word, WordTable, tuple_degree
+from .nilpotent import word_basis
 from .polycore import PolyMatrix, RatPoly
 from .torsion import (
     all_jacobian_derivatives,
@@ -145,9 +156,6 @@ class Polytope2D:
                 x0 += 1
         return tuple(sorted(found))
 
-    def intersect(self, other: "Polytope2D") -> "Polytope2D":
-        return intersect_polytopes([self, other])
-
     def to_json_dict(self) -> dict:
         def enc(pts):
             return [[str(p[0]), str(p[1])] for p in pts]
@@ -230,12 +238,40 @@ class LambdaEntry:
     poly: RatPoly
 
 
+def _rational_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by exact Gaussian elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
 def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEntry]:
     """All nonzero determinant classes over unordered word tuples.
 
     Tuples with a repeated word vanish identically and are skipped; classes
     whose determinants agree up to sign are merged (the first tuple found, in
     length-then-lex order, names the class).
+
+    Each determinant is the Cauchy-Binet sum over the coordinates of
+    ``word_basis``: det(X_W) = sum over n-subsets S of the N basis fields of
+    det(C[W, S]) * det(E_S), with det(E_S) computed once per S.  The sum is
+    exact, so the classes, their naming tuples and their polynomials are those
+    of a direct polynomial determinant of every tuple.  The tuple budget is
+    checked before any determinant is formed.
     """
     words = table.words()
     n = table.dim
@@ -246,12 +282,24 @@ def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEn
         raise TupleBudgetExceeded(
             f"{total} word tuples exceed budget {tuple_budget}"
         )
+    basis = word_basis(table)
+    subset_dets = []
+    for cols in itertools.combinations(range(len(basis.fields)), n):
+        d = PolyMatrix.from_rows(
+            [[basis.fields[j].components[i] for j in cols] for i in range(n)]
+        ).det()
+        if not d.is_zero():
+            subset_dets.append((cols, d))
     classes: dict[tuple, LambdaEntry] = {}
     for combo in itertools.combinations(words, n):
-        mat = PolyMatrix.from_rows(
-            [[table.entries[w].components[i] for w in combo] for i in range(n)]
-        )
-        det = mat.det()
+        coords = [basis.coords[w] for w in combo]
+        acc: dict = {}
+        for cols, d in subset_dets:
+            minor = _rational_det([[row[j] for j in cols] for row in coords])
+            if minor != 0:
+                for exp, c in d.terms.items():
+                    acc[exp] = acc.get(exp, 0) + minor * c
+        det = RatPoly(n, acc)
         if det.is_zero():
             continue
         lead_exp, lead_c = det.leading()

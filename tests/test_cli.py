@@ -105,6 +105,16 @@ class TestSubcommands:
         assert code == 0
         assert out["count"] == 0 and out["covered_fraction"] is None
 
+    def test_cover_uses_c(self, capsys):
+        base = ["ccball", "--scene", "builtin:moment2", "--check", "cover",
+                "--grid", "2", "--rho", "8"]
+        code, narrow = run(base + ["--c", "0.125"], capsys)
+        assert code == 0
+        code, wide = run(base + ["--c", "0.5"], capsys)
+        assert code == 0
+        assert (narrow["radius_small"], narrow["radius_inflated"]) == (0.125, 1.0)
+        assert (wide["radius_small"], wide["radius_inflated"]) == (2.0, 4.0)
+
     def test_occupancy_sample_reports_null_stderr(self, tmp_path, capsys):
         # a repeated word makes the Jacobian vanish, which forces occupancy counting
         spec = tmp_path / "spec.json"

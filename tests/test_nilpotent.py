@@ -8,6 +8,7 @@ import pytest
 
 from torsionlab.geometry import (
     PolyMap,
+    PolyVectorField,
     build_word_table,
     hodge_star_field,
     lie_series_flow,
@@ -21,6 +22,7 @@ from torsionlab.nilpotent import (
     group_law,
     isotropy_subalgebra,
     weak_malcev,
+    word_basis,
 )
 from torsionlab.polycore import RatPoly
 
@@ -62,6 +64,24 @@ class TestAbstractAlgebra:
         assert alg.dim == 4
         assert alg.step == 3
         assert alg.basis_words == ((1,), (2,), (1, 2), (1, 1, 2))
+
+    def test_word_basis_coordinates(self, moment3):
+        table = moment3["table"]
+        basis = word_basis(table)
+        assert basis.words == ((1,), (2,), (1, 2), (1, 1, 2))
+        for w in table.words():
+            acc = PolyVectorField.zero(table.dim)
+            for c, f in zip(basis.coords[w], basis.fields):
+                acc = acc + f.scale(c)
+            assert acc == table.entries[w], w
+        assert basis.coords[(2, 1, 2)] == (0, 0, 0, 1)
+        assert basis.coordinates(table.entries[(2, 2, 1)]) == (0, 0, 0, -1)
+        # outside the span: a constant first component alone uses only known
+        # monomials, x0 in the last component is a monomial no word field has
+        one, zero = RatPoly.const(4, 1), RatPoly.zero(4)
+        assert basis.coordinates(PolyVectorField((one, zero, zero, zero))) is None
+        x0 = RatPoly.variable(4, 0)
+        assert basis.coordinates(PolyVectorField((zero, zero, zero, x0))) is None
 
     def test_jacobi_exact(self, moment3):
         table = moment3["table"]

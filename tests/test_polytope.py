@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab.geometry import build_word_table, hodge_star_field
-from torsionlab.polycore import RatPoly
+from torsionlab.geometry import build_word_table, hodge_star_field, tuple_degree
+from torsionlab.nilpotent import word_basis
+from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.polytope import (
     EmptyPolytope,
     Polytope2D,
@@ -53,6 +54,20 @@ def brute_force_member(generators, z):
         if lo <= hi:
             return True
     return False
+
+
+def sheared_scene():
+    """pi1 = (x2, x3), pi2 = (x1, x3 - G): some word fields are sums of two
+    basis fields, unlike the builtin scenes whose word coordinates are all
+    unit vectors up to sign."""
+    from torsionlab.geometry import PolyMap
+    from torsionlab.scenes import Scene
+
+    x1, x2, x3 = RatPoly.variables(3)
+    G = (x1 * x2**3 * Fraction(1, 6) + x1**2 * x2**2 * Fraction(1, 4)
+         + x1 * x2**2 * Fraction(1, 2) + x1**3 * x2 * Fraction(1, 6))
+    return Scene(pi1=PolyMap((x2, x3)), pi2=PolyMap((x1, x3 - G)), cap=5,
+                 name="sheared")
 
 
 class TestStaircase:
@@ -160,6 +175,46 @@ class TestLambdaTable:
         for e in moment3["entries"]:
             if e.deg in ((3, 4), (4, 3)):
                 assert e.poly == RatPoly.const(4, 12)
+
+    def test_moment4_classes(self):
+        entries = lambda_table(moment_curve_scene(4).word_table())
+        assert [(e.deg, e.words) for e in entries] == [
+            ((4, 7), ((1,), (2,), (1, 2), (2, 1, 2), (2, 2, 1, 2))),
+            ((5, 6), ((1,), (2,), (1, 2), (1, 1, 2), (2, 2, 1, 2))),
+            ((6, 5), ((1,), (2,), (1, 2), (1, 1, 2), (1, 2, 1, 2))),
+            ((7, 4), ((1,), (2,), (1, 2), (1, 1, 2), (1, 1, 1, 2))),
+        ]
+        assert all(e.poly == RatPoly.const(5, 288) for e in entries)
+
+    @pytest.mark.parametrize("name", ["moment3", "power2d_k3", "sheared"])
+    def test_matches_direct_determinants(self, name):
+        # reference: one Bareiss determinant per word tuple, no Lie coordinates
+        table = {"moment3": lambda: moment_curve_scene(3),
+                 "power2d_k3": lambda: power2d_scene(3),
+                 "sheared": sheared_scene}[name]().word_table()
+        n = table.dim
+        basis = word_basis(table)
+        if name == "power2d_k3":
+            # four basis fields and n = 2: the Cauchy-Binet sum has 6 terms
+            assert (len(basis.fields), n) == (4, 2)
+        if name == "sheared":
+            # X_{1112} = -(E_{112} + E_{212}), so tuples with it sum two minors
+            assert basis.coords[(1, 1, 1, 2)] == (0, 0, 0, -1, -1)
+        classes = {(e.deg, tuple(e.poly.sorted_terms())): e for e in lambda_table(table)}
+        first: dict = {}
+        for combo in itertools.combinations(table.words(), n):
+            det = PolyMatrix.from_rows(
+                [[table.entries[w].components[i] for w in combo] for i in range(n)]
+            ).det()
+            if det.is_zero():
+                continue
+            norm = -det if det.leading()[1] < 0 else det
+            key = (tuple_degree(combo), tuple(norm.sorted_terms()))
+            assert key in classes, combo
+            assert classes[key].poly in (det, -det)
+            first.setdefault(key, combo)
+        # every class comes from a nonzero tuple and is named by the first one
+        assert first == {key: e.words for key, e in classes.items()}
 
     def test_equal_generators_empty(self):
         xs = RatPoly.variables(2)
