@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .geometry import NonTerminatingSeries, NotNilpotentWithinCap, build_word_table
 from .polycore import RatPoly
+from .polytope import TupleBudgetExceeded
 from .scenes import (
     Scene,
     SceneValidationError,
@@ -78,6 +79,17 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
         return [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad {what}: {text!r} (expected comma-separated rationals)")
+
+
+def _parse_bands(text: str) -> range:
+    bad = CliError(f"bad --bands: {text!r} (expected M0:M1, integers with M0 <= M1)")
+    try:
+        m0, m1 = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise bad from None
+    if m0 > m1:
+        raise bad
+    return range(m0, m1 + 1)
 
 
 def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
@@ -338,6 +350,9 @@ def cmd_verify(args) -> int:
         report = counterexample_2d(args.k)
         dump_report(report, args.out)
         return EXIT_OK
+    if args.samples is not None and args.samples < 1:
+        raise CliError(f"--samples must be at least 1, got {args.samples}")
+    bands = _parse_bands(args.bands) if args.inequality == "scales" else None
     scene = _scene_from_args(args)
     if scene.domain is None:
         raise CliError("scene needs a 'domain' box for verification")
@@ -345,7 +360,7 @@ def cmd_verify(args) -> int:
     table = scene.word_table()
     prof = torsion_profile(table, beta)
     seed = args.seed if args.seed is not None else scene.seed
-    samples = args.samples or scene.samples
+    samples = args.samples if args.samples is not None else scene.samples
     if args.inequality == "rwt":
         if not scene.e1 or not scene.e2:
             raise CliError("rwt needs e1 and e2 box unions in the scene")
@@ -369,11 +384,10 @@ def cmd_verify(args) -> int:
     if args.inequality == "scales":
         if not scene.f1 or not scene.f2:
             raise CliError("scales needs f1 and f2 step functions in the scene")
-        m0, m1 = (int(x) for x in args.bands.split(":"))
         report = scale_profile(
             StepFunction.from_levels(scene.f1), StepFunction.from_levels(scene.f2),
             prof, scene.pi1, scene.pi2, scene.domain,
-            m_range=range(m0, m1 + 1), n_samples=samples, seed=seed,
+            m_range=bands, n_samples=samples, seed=seed,
         )
         dump_report(report, args.out)
         return EXIT_OK
@@ -473,7 +487,7 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
         print(f"error: malformed input: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (NonTerminatingSeries, NotNilpotentWithinCap) as e:
+    except (NonTerminatingSeries, NotNilpotentWithinCap, TupleBudgetExceeded) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,19 +64,29 @@ def thread_count() -> int:
 
 
 def qmc_mean(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray], np.ndarray | Iterable[np.ndarray]],
     dim: int,
     n_samples: int,
     seed: int = 0,
     shard_size: int = 65536,
-) -> tuple[float, float, int]:
+) -> tuple[float, float, int] | list[tuple[float, float, int]]:
     """Mean of f over [0,1)^dim with a conservative MC-style standard error.
+
+    f maps a (m, dim) batch of points to one row of m values, and then the
+    result is (mean, stderr, n).  f may instead return an iterable of rows,
+    for several integrands that share one set of evaluations; the result is
+    then a list with one (mean, stderr, n) per row, each bit-for-bit what a
+    one-row f returning that row alone gives.  Each row is reduced to its sum
+    and its sum of squares before the next is drawn, so a generator f holds
+    one row at a time.
 
     Sharded deterministically: shard k evaluates points [k*shard_size, ...)
     of the scrambled sequence and partial sums are combined in shard order,
     so the result is identical for any thread count.
     """
     n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     shards = [
         (k, min(shard_size, n_samples - k * shard_size))
         for k in range((n_samples + shard_size - 1) // shard_size)
@@ -84,9 +94,13 @@ def qmc_mean(
 
     def run(shard):
         k, m = shard
-        pts = halton(dim, m, seed=seed, offset=k * shard_size)
-        vals = np.asarray(f(pts), dtype=float)
-        return float(vals.sum()), float((vals * vals).sum()), m
+        out = f(halton(dim, m, seed=seed, offset=k * shard_size))
+        one_row = isinstance(out, np.ndarray)
+        sums = []
+        for row in (out,) if one_row else out:
+            vals = np.asarray(row, dtype=float)
+            sums.append((float(vals.sum()), float((vals * vals).sum())))
+        return one_row, sums
 
     workers = thread_count()
     if workers > 1 and len(shards) > 1:
@@ -94,10 +108,9 @@ def qmc_mean(
             parts = list(ex.map(run, shards))
     else:
         parts = [run(s) for s in shards]
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    stderr = (var / n) ** 0.5
-    return mean, stderr, n
+    stats = []
+    for row in zip(*(sums for _, sums in parts)):
+        mean = sum(s1 for s1, _ in row) / n_samples
+        var = max(sum(s2 for _, s2 in row) / n_samples - mean * mean, 0.0)
+        stats.append((mean, (var / n_samples) ** 0.5, n_samples))
+    return stats[0] if parts[0][0] else stats

@@ -174,6 +174,8 @@ def scene_from_json_dict(data: dict) -> Scene:
         scene.seed = int(data["seed"])
     if "samples" in data:
         scene.samples = int(data["samples"])
+        if scene.samples < 1:
+            raise SceneValidationError(f"samples must be at least 1, got {scene.samples}")
     return scene
 
 

@@ -189,26 +189,36 @@ def rwt_ratio(e1: BoxUnion, e2: BoxUnion, profile: TorsionProfile,
     return report
 
 
+def _form_factors(f1: StepFunction, f2: StepFunction, profile: TorsionProfile,
+                  pi1: PolyMap, pi2: PolyMap, domain: Box):
+    """u in [0,1)^n -> (f1(pi1 x) f2(pi2 x), rho_beta(x)) at x = u scaled to the domain."""
+    lo = [float(x) for x in domain.lo]
+    hi = [float(x) for x in domain.hi]
+    ev1 = MapEvaluator(pi1.components)
+    ev2 = MapEvaluator(pi2.components)
+    weight = WeightEvaluator(profile)
+
+    def factors(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = scale_to_box(u, lo, hi)
+        return f1.values(ev1(x)) * f2.values(ev2(x)), weight(x)
+
+    return factors
+
+
 def bilinear_form(f1: StepFunction, f2: StepFunction, profile: TorsionProfile,
                   pi1: PolyMap, pi2: PolyMap, domain: Box,
                   n_samples: int, seed: int = 0,
                   band: int | None = None) -> dict:
     """B(f1,f2) = integral of f1(pi1 x) f2(pi2 x) rho_beta(x) over the domain."""
-    lo = [float(x) for x in domain.lo]
-    hi = [float(x) for x in domain.hi]
-    n = domain.dim
-    ev1 = MapEvaluator(pi1.components)
-    ev2 = MapEvaluator(pi2.components)
-    weight = WeightEvaluator(profile)
+    factors = _form_factors(f1, f2, profile, pi1, pi2, domain)
 
     def f(u: np.ndarray) -> np.ndarray:
-        x = scale_to_box(u, lo, hi)
-        rho = weight(x)
+        g, rho = factors(u)
         if band is not None:
             rho = rho * _band_mask(rho, band)
-        return f1.values(ev1(x)) * f2.values(ev2(x)) * rho
+        return g * rho
 
-    mean, stderr, n_used = qmc_mean(f, n, n_samples, seed=seed)
+    mean, stderr, n_used = qmc_mean(f, domain.dim, n_samples, seed=seed)
     vol = float(domain.volume())
     B = mean * vol
     n1 = f1.norm(profile.p[0])
@@ -230,14 +240,26 @@ def scale_profile(f1: StepFunction, f2: StepFunction, profile: TorsionProfile,
                   m_range: Sequence[int], n_samples: int, seed: int = 0) -> dict:
     """Per-band weighted forms B_m over U_m = {rho in [2^m, 2^(m+1))}.
 
+    One sample pass: each shard of points is drawn once and pi1, pi2 and
+    rho_beta are evaluated once; every band's integrand is then cut from those
+    values, so each row's B_m and stderr equal those of
+    ``bilinear_form(..., band=m)`` bit for bit.
+
     Reports the band table, the straight sum against ||f1|| ||f2||, and the
     theta-power sum with theta = (1/p1 + 1/p2)^(-1) next to log(band count).
     """
-    rows = []
-    for m in m_range:
-        r = bilinear_form(f1, f2, profile, pi1, pi2, domain,
-                          n_samples=n_samples, seed=seed, band=m)
-        rows.append({"m": int(m), "B_m": r["estimate"], "stderr": r["stderr"]})
+    bands = [int(m) for m in m_range]
+    factors = _form_factors(f1, f2, profile, pi1, pi2, domain)
+
+    def f(u: np.ndarray):
+        g, rho = factors(u)
+        for m in bands:
+            yield g * (rho * _band_mask(rho, m))
+
+    stats = qmc_mean(f, domain.dim, n_samples, seed=seed)
+    vol = float(domain.volume())
+    rows = [{"m": m, "B_m": mean * vol, "stderr": stderr * vol}
+            for m, (mean, stderr, _) in zip(bands, stats)]
     p1, p2 = [float(p) for p in profile.p]
     theta = 1.0 / (1.0 / p1 + 1.0 / p2)
     nonzero = [r for r in rows if r["B_m"] > 0]

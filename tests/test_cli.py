@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON I/O, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +162,53 @@ class TestContracts:
         p.write_text(json.dumps(scene.to_json_dict()))
         code = main(["fields", "--scene", str(p), "--cap", "2"])
         assert code == 3
+
+    def test_polytope_over_tuple_budget_exit_3(self, tmp_path, capsys):
+        # moment5 has 32 words in dimension 6: C(32, 6) = 906192 tuples
+        p = tmp_path / "moment5.json"
+        p.write_text(json.dumps(moment_curve_scene(5).to_json_dict()))
+        code = main(["polytope", "--scene", str(p)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive:")
+        assert "906192" in err and "200000" in err
+
+    @pytest.mark.parametrize("inequality", ["rwt", "strong", "scales"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_samples_below_one_exit_2(self, scene_file, inequality,
+                                             samples, capsys):
+        code = main(["verify", inequality, "--scene", scene_file,
+                     "--samples", samples])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_verify_samples_default_from_scene(self, scene_file, capsys):
+        code, report = run(["verify", "strong", "--scene", scene_file], capsys)
+        assert code == 0 and report["samples"] == 4000
+        code, report = run(["verify", "strong", "--scene", scene_file,
+                            "--samples", "1"], capsys)
+        assert code == 0 and report["samples"] == 1
+
+    def test_scene_samples_below_one_exit_2(self, scene_file, tmp_path, capsys):
+        data = json.loads(Path(scene_file).read_text())
+        data["samples"] = 0
+        p = tmp_path / "zero.json"
+        p.write_text(json.dumps(data))
+        code = main(["verify", "strong", "--scene", str(p)])
+        assert code == 2
+        assert "samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bands", ["3", "a:b", "-6:2:1", "2:-6"])
+    def test_verify_bad_bands_exit_2(self, scene_file, bands, capsys):
+        code = main(["verify", "scales", "--scene", scene_file, f"--bands={bands}"])
+        assert code == 2
+        assert "--bands" in capsys.readouterr().err
+
+    def test_verify_scales_band_table(self, scene_file, capsys):
+        code, report = run(["verify", "scales", "--scene", scene_file,
+                            "--bands=-1:1"], capsys)
+        assert code == 0
+        assert [row["m"] for row in report["bands"]] == [-1, 0, 1]
 
     def test_byte_identical_reports(self, scene_file, tmp_path, capsys):
         outs = []

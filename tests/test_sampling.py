@@ -59,6 +59,32 @@ class TestQmcMean:
             b = qmc_mean(f, 1, 50000, seed=6, shard_size=4096)
         assert a == b
 
+    def test_rows_match_one_row_calls(self):
+        # each row of a multi-row f gives what f restricted to that row gives,
+        # for any thread count and shard size
+        rows = [lambda p: p[:, 0] ** 3, lambda p: np.sin(p[:, 0] + p[:, 1]),
+                lambda p: (p[:, 1] > 0.4).astype(float)]
+
+        def f(p):
+            for g in rows:
+                yield g(p)
+
+        for shard_size in (1 << 16, 4096, 999):
+            single = [qmc_mean(g, 2, 50000, seed=6, shard_size=shard_size)
+                      for g in rows]
+            for threads in ("1", "2"):
+                with mock.patch.dict(os.environ, {"TORSIONLAB_THREADS": threads}):
+                    multi = qmc_mean(f, 2, 50000, seed=6, shard_size=shard_size)
+                assert multi == single, (shard_size, threads)
+
+    def test_no_rows_gives_empty_list(self):
+        assert qmc_mean(lambda p: iter(()), 2, 100, seed=1) == []
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_sample_count_below_one(self, n):
+        with pytest.raises(ValueError, match="n_samples"):
+            qmc_mean(lambda p: np.ones(len(p)), 2, n)
+
     def test_stderr_shrinks_with_budget(self):
         f = lambda p: (p[:, 0] > 0.371).astype(float)
         _, se1, _ = qmc_mean(f, 1, 10000, seed=8)

@@ -185,6 +185,41 @@ class TestScaleProfile:
         total = bilinear_form(f, f, prof, pi1, pi2, domain, 30000, seed=11)
         assert r["sum"] == pytest.approx(total["estimate"], rel=0.02)
 
+    # three shards (65,536, 65,536 and 4096 points), so that the shard order
+    # of the partial sums shows in the last bits
+    _SHARDED = (1 << 17) + 4096
+
+    def _assert_rows_equal_banded_forms(self, f, prof, pi1, pi2, domain, bands,
+                                        seed):
+        r = scale_profile(f, f, prof, pi1, pi2, domain, bands,
+                          self._SHARDED, seed=seed)
+        assert [row["m"] for row in r["bands"]] == list(bands)
+        for row in r["bands"]:
+            one = bilinear_form(f, f, prof, pi1, pi2, domain, self._SHARDED,
+                                seed=seed, band=row["m"])
+            assert row["B_m"] == one["estimate"], row["m"]
+            assert row["stderr"] == one["stderr"], row["m"]
+        return r
+
+    def test_rows_equal_banded_forms_cubic(self):
+        pi1, pi2 = curve_maps([[0, 1], [0, 0, 0, 1]])
+        scene = Scene(pi1=pi1, pi2=pi2, beta=(0, 1, 0), cap=6)
+        prof = torsion_profile(scene.word_table(), scene.beta)
+        f = StepFunction.indicator_box(Box((F(-2), F(-2)), (F(2), F(2))))
+        r = self._assert_rows_equal_banded_forms(
+            f, prof, pi1, pi2, Box((F(-1),) * 3, (F(1),) * 3), range(-8, 3), 11)
+        assert r["nonzero_bands"] >= 4
+
+    def test_rows_equal_banded_forms_moment2(self, moment2):
+        sc = moment2["scene"]
+        f = StepFunction.from_levels([
+            (1, [Box((F(0), F(0)), (F(1, 2), F(1)))]),
+            (0, [Box((F(1, 2), F(0)), (F(1), F(1)))]),
+        ])
+        r = self._assert_rows_equal_banded_forms(
+            f, moment2["profile"], sc.pi1, sc.pi2, unit_box(3), range(-4, 4), 10)
+        assert r["nonzero_bands"] == 1
+
     def test_far_support_empty(self, moment2):
         sc = moment2["scene"]
         f = StepFunction.from_levels([(0, [Box((F(90), F(90)), (F(91), F(91)))])])
