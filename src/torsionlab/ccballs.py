@@ -8,6 +8,16 @@ under the composed flow Phi^I_x.  Everything here is a numeric probe: volumes
 come from quasi-Monte-Carlo sampling, membership from damped Newton preimage
 solves, and the outputs are reports with recorded constants rather than
 assertions against constants nobody can compute.
+
+All balls of one word tuple share one ``BallMap``: a single evaluator of
+(x, t) -> Phi^I_x(t) and its t-Jacobian, with the center x as a per-row
+parameter.  A membership question "is y in the ball at center x?" is answered
+for many centers and points at once: the questions become rows in (center,
+Newton start, point) order, solved by one ``newton_preimage`` call per
+``CHUNK_ROWS`` rows.  Newton rows never see each other (the evaluators are
+row-independent, batched solves factor each matrix on its own, and a singular
+Jacobian only affects its own row), so every mask is the one a single-center,
+single-start solve would give, whatever the batch or the chunking.
 """
 
 from __future__ import annotations
@@ -22,7 +32,10 @@ from .geometry import Word, WordTable, word_degree
 from .numeric import JacobianEvaluator, MapEvaluator, newton_preimage
 from .polytope import LambdaEntry
 from .sampling import halton
-from .torsion import IterFlowMap, iter_flow
+from .torsion import iter_flow
+
+# rows per newton_preimage call in BallMap.members; the qmc_mean shard size
+CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -76,61 +89,69 @@ class BallSample:
         }
 
 
-class _BallGeometry:
-    """Float-side machinery for one (table, word tuple, center)."""
+def _float_center(center: Sequence) -> np.ndarray:
+    return np.array([float(Fraction(c)) for c in center])
 
-    def __init__(self, table: WordTable, words: Sequence[Word], center: Sequence):
-        self.n = table.dim
-        self.flow: IterFlowMap = iter_flow(table, tuple(words))
-        self.center = np.array([float(Fraction(c)) for c in center])
-        n = self.n
-        self._map = MapEvaluator(self.flow.map)
-        self._jac = JacobianEvaluator(self.flow.map, wrt=list(range(n, 2 * n)))
-        self._jac_det = MapEvaluator((self.flow.jac_det,))
 
-    def _with_center(self, t: np.ndarray) -> np.ndarray:
-        m = len(t)
-        return np.hstack([np.tile(self.center, (m, 1)), t])
+def _newton_starts(halfwidths: np.ndarray) -> np.ndarray:
+    """Up to 8 starts in the box: its center, then +-half the halfwidth per axis."""
+    n = len(halfwidths)
+    starts = [np.zeros(n)]
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 0.5 * halfwidths[k]
+        starts.extend([e, -e])
+    return np.array(starts[:8])
 
-    def push(self, t: np.ndarray) -> np.ndarray:
-        return self._map(self._with_center(t))
 
-    def jac_at(self, t: np.ndarray) -> np.ndarray:
-        return self._jac_det(self._with_center(t))[:, 0]
+class BallMap:
+    """Float side of every ball of one word tuple: (x, t) -> Phi^I_x(t)."""
 
-    def members(self, ys: np.ndarray, halfwidths: Sequence[float],
+    def __init__(self, table: WordTable, words: Sequence[Word]):
+        n = self.n = table.dim
+        flow = iter_flow(table, tuple(words))
+        self._map = MapEvaluator(flow.map)
+        self._jac = JacobianEvaluator(flow.map, wrt=list(range(n, 2 * n)))
+        self._jac_det = MapEvaluator((flow.jac_det,))
+
+    def push(self, center: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Phi^I_center(t) for the rows of t."""
+        return self._map(np.hstack([np.broadcast_to(center, t.shape), t]))
+
+    def jac_at(self, center: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """det D_t Phi^I_center(t) for the rows of t."""
+        return self._jac_det(np.hstack([np.broadcast_to(center, t.shape), t]))[:, 0]
+
+    def members(self, centers: np.ndarray, ys: np.ndarray,
+                halfwidths: Sequence[float],
                 tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-        """(membership mask, inconclusive mask) for points ys.
+        """(membership, inconclusive) masks of shape (len(centers), len(ys)).
 
-        Membership solves Phi(t) = y from 8 deterministic starts inside the
-        box; a point is inconclusive when no start converges at all.
+        Entry (c, p) asks whether ys[p] lies in the ball at centers[c] with
+        these box halfwidths.  Phi(t) = y is solved from up to 8 deterministic
+        starts inside the box; the point is a member when some start converges
+        inside the box, and inconclusive when no start converges at all.  The
+        (center, start, point) triples are rows in that order, solved by one
+        ``newton_preimage`` call per ``CHUNK_ROWS`` rows with the center as
+        each row's fixed parameter.  Rows are batch-independent, so entry
+        (c, p) does not depend on the other centers, points or the chunking.
         """
+        centers = np.asarray(centers, dtype=float).reshape(-1, self.n)
+        ys = np.asarray(ys, dtype=float)
         hw = np.asarray(halfwidths, dtype=float)
-        n = self.n
-        m = len(ys)
-
-        def fwd(t):
-            return self.push(t)
-
-        def jac(t):
-            return self._jac(self._with_center(t))
-
-        member = np.zeros(m, dtype=bool)
-        converged_any = np.zeros(m, dtype=bool)
-        starts = [np.zeros(n)]
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 0.5 * hw[k]
-            starts.extend([e, -e])
-        starts = starts[: 8]
-        for st in starts:
-            sol, ok = newton_preimage(fwd, jac, ys, st, tol=tol)
-            converged_any |= ok
-            inside = ok & np.all(np.abs(sol) < hw * (1 + 1e-9) + tol, axis=1)
-            member |= inside
-            if member.all():
-                break
-        return member, ~converged_any
+        starts = _newton_starts(hw)
+        shape = (len(centers), len(starts), len(ys))
+        total = len(centers) * len(starts) * len(ys)
+        converged = np.empty(total, dtype=bool)
+        inside = np.empty(total, dtype=bool)
+        for lo in range(0, total, CHUNK_ROWS):
+            rows = np.arange(lo, min(lo + CHUNK_ROWS, total))
+            c, s, p = np.unravel_index(rows, shape)
+            sol, ok = newton_preimage(self._map, self._jac, ys[p], starts[s],
+                                      tol=tol, fixed=centers[c])
+            converged[rows] = ok
+            inside[rows] = ok & np.all(np.abs(sol) < hw * (1 + 1e-9) + tol, axis=1)
+        return inside.reshape(shape).any(axis=1), ~converged.reshape(shape).any(axis=1)
 
 
 def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
@@ -143,13 +164,14 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    geo = _BallGeometry(table, spec.words, spec.center)
-    n = geo.n
+    ball = BallMap(table, spec.words)
+    center = _float_center(spec.center)
+    n = ball.n
     hw = np.array(spec.box_halfwidths())
     u = halton(n, n_samples, seed=seed)
     t = (2.0 * u - 1.0) * hw
-    pts = geo.push(t)
-    jac = geo.jac_at(t)
+    pts = ball.push(center, t)
+    jac = ball.jac_at(center, t)
     box_vol = float(np.prod(2.0 * hw))
     degenerate = np.abs(jac).max() == 0.0
     if not degenerate and (np.all(jac > 0) or np.all(jac < 0)):
@@ -233,18 +255,19 @@ def doubling_check(table: WordTable, entries: Sequence[LambdaEntry],
         report["verdict"] = "HypothesisNotMet"
         return report
     small = c * delta * rho
-    geo1 = _BallGeometry(table, I1, x1)
-    geo2 = _BallGeometry(table, I2, x2)
-    n = geo1.n
+    ball1 = BallMap(table, I1)
+    ball2 = BallMap(table, I2)
+    x2f = _float_center(x2)[None]
+    n = ball1.n
     u = halton(n, n_samples, seed=seed)
     t_small = (2.0 * u - 1.0) * small
-    cloud1 = geo1.push(t_small)
-    inter_member, inter_bad = geo2.members(cloud1, [small] * n, tol=tol)
+    cloud1 = ball1.push(_float_center(x1), t_small)
+    (inter_member,), _ = ball2.members(x2f, cloud1, [small] * n, tol=tol)
     if not inter_member.any():
         report["verdict"] = "NotApplicable"
         report["reason"] = "sampled small balls do not intersect"
         return report
-    member, inconclusive = geo2.members(cloud1, [rho] * n, tol=tol)
+    (member,), (inconclusive,) = ball2.members(x2f, cloud1, [rho] * n, tol=tol)
     n_inc = int(inconclusive.sum())
     pass_fraction = float(member[~inconclusive].mean()) if (~inconclusive).any() else 0.0
     report.update(
@@ -303,25 +326,17 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
                 "reason": "no eligible grid points", "words": [list(w) for w in words]}
     r_small = (c ** 2) * (rho ** exponent)
     r_big = c * (rho ** exponent)
-    u = halton(n, cloud, seed=seed)
+    ball = BallMap(table, words)
+    t_cloud = (2.0 * halton(n, cloud, seed=seed) - 1.0) * r_small
     selected: list[np.ndarray] = []
-    geos: list[_BallGeometry] = []
+    centers = np.empty((0, n))  # the selected x, rounded as the balls see them
     for x in eligible:
-        geo = _BallGeometry(table, words, [Fraction(v).limit_denominator(10**9) for v in x])
-        cloud_pts = geo.push((2.0 * u - 1.0) * r_small)
-        disjoint = True
-        for other in geos:
-            m1, _ = other.members(cloud_pts, [r_small] * n)
-            if m1.any():
-                disjoint = False
-                break
-        if disjoint:
+        center = _float_center([Fraction(v).limit_denominator(10**9) for v in x])
+        hit, _ = ball.members(centers, ball.push(center, t_cloud), [r_small] * n)
+        if not hit.any():
             selected.append(x)
-            geos.append(geo)
-    covered = np.zeros(len(eligible), dtype=bool)
-    for geo in geos:
-        m, _ = geo.members(eligible, [r_big] * n)
-        covered |= m
+            centers = np.vstack([centers, center])
+    covered = ball.members(centers, eligible, [r_big] * n)[0].any(axis=0)
     return {
         "centers": [list(map(float, x)) for x in selected],
         "count": len(selected),

@@ -94,7 +94,14 @@ def _parse_bands(text: str) -> range:
 
 def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
     if getattr(args, "beta", None):
-        return tuple(int(x) for x in args.beta.split(","))
+        bad = CliError(f"bad --beta: {args.beta!r} (expected comma-separated nonnegative integers)")
+        try:
+            beta = tuple(int(x) for x in args.beta.split(","))
+        except ValueError:
+            raise bad from None
+        if min(beta) < 0:
+            raise bad
+        return beta
     if scene.beta is not None:
         return scene.beta
     raise CliError("no beta: pass --beta or use a scene that declares one")

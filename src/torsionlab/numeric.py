@@ -5,6 +5,15 @@ that maps an (m, nvars) array of points to an (m, ncomps) array of values,
 with the same float operations on every row whatever the batch.  The Newton
 solver batches damped iterations over many target points at once, which is
 what ball-membership testing needs.
+
+``newton_preimage(..., fixed=F)`` solves a family of maps at once: row i
+solves forward([F_i, t]) = target_i for t, where F_i holds parameters that
+stay fixed through the iteration (a ball's center, say).  ``forward`` and
+``jacobian`` are then called on ``np.hstack([F[rows], t])``, so an evaluator
+over (parameters, t) plugs in directly.  Every row takes the same float steps
+whatever else is in the batch: the evaluators are row-independent, batched
+``np.linalg.solve`` factors each matrix separately, and a singular Jacobian
+sends only its own row to the pseudoinverse.
 """
 
 from __future__ import annotations
@@ -64,6 +73,23 @@ class JacobianEvaluator(MapEvaluator):
         return vals.reshape(len(vals), *self._shape)
 
 
+def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve J_i step_i = r_i row by row; singular rows use the pseudoinverse."""
+    try:
+        return np.linalg.solve(J, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    # one singular matrix fails the whole batch: retry each row on its own so
+    # that only the singular ones take the least-squares step
+    step = np.empty_like(r)
+    for i in range(len(J)):
+        try:
+            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            step[i] = np.einsum("mij,mj->mi", np.linalg.pinv(J[i:i + 1]), r[i:i + 1])[0]
+    return step
+
+
 def newton_preimage(
     forward: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
@@ -71,38 +97,41 @@ def newton_preimage(
     start: np.ndarray,
     tol: float = 1e-9,
     max_iter: int = 60,
+    fixed: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton solve forward(t) = target, batched over targets.
 
     ``start`` may be a single point (broadcast) or one start per target.
+    ``fixed``, if given, is an (m, k) array of per-row parameters prepended
+    to t on every call of ``forward`` and ``jacobian``.
     Returns (solutions, converged mask); non-converged rows hold the last
     iterate.  Steps are halved until the residual decreases (at most 8
-    halvings per iteration).
+    halvings per iteration).  Each row's result is independent of the batch.
     """
     targets = np.asarray(targets, dtype=float)
     m, n = targets.shape
     t = np.broadcast_to(np.asarray(start, dtype=float), (m, n)).copy()
-    res = forward(t) - targets
+
+    def at(rows, t):
+        return t if fixed is None else np.hstack([fixed[rows], t])
+
+    res = forward(at(slice(None), t)) - targets
     res_norm = np.linalg.norm(res, axis=1)
     active = res_norm > tol
     for _ in range(max_iter):
         if not active.any():
             break
-        ta = t[active]
-        ra = res[active]
-        Ja = jacobian(ta)
-        try:
-            step = np.linalg.solve(Ja, ra[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # singular rows fall back to least-squares via the pseudoinverse
-            step = np.einsum("mij,mj->mi", np.linalg.pinv(Ja), ra)
+        rows = np.flatnonzero(active)
+        ta = t[rows]
+        ra = res[rows]
+        step = _newton_step(jacobian(at(rows, ta)), ra)
         # guard singular rows elementwise
         bad = ~np.isfinite(step).all(axis=1)
         step[bad] = 0.0
         scale = np.ones(len(ta))
         cur_norm = np.linalg.norm(ra, axis=1)
         new_t = ta - step
-        new_res = forward(new_t) - targets[active]
+        new_res = forward(at(rows, new_t)) - targets[rows]
         new_norm = np.linalg.norm(new_res, axis=1)
         for _ in range(8):
             worse = new_norm > cur_norm
@@ -110,10 +139,10 @@ def newton_preimage(
                 break
             scale[worse] *= 0.5
             new_t[worse] = ta[worse] - scale[worse, None] * step[worse]
-            new_res[worse] = forward(new_t[worse]) - targets[active][worse]
+            new_res[worse] = forward(at(rows[worse], new_t[worse])) - targets[rows[worse]]
             new_norm[worse] = np.linalg.norm(new_res[worse], axis=1)
-        t[active] = new_t
-        res[active] = new_res
-        res_norm[active] = new_norm
+        t[rows] = new_t
+        res[rows] = new_res
+        res_norm[rows] = new_norm
         active = res_norm > tol
     return t, res_norm <= tol

@@ -148,6 +148,8 @@ def scene_from_json_dict(data: dict) -> Scene:
         scene.name = str(data["name"])
     if "beta" in data:
         scene.beta = tuple(int(b) for b in data["beta"])
+        if any(b < 0 for b in scene.beta):
+            raise SceneValidationError(f"beta entries must be nonnegative, got {list(scene.beta)}")
         if len(scene.beta) != pi1.source_dim:
             raise SceneValidationError("beta length must equal the dimension")
     if "cap" in data:

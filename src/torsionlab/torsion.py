@@ -122,6 +122,8 @@ def jacobian_derivative(flow: IterFlowMap, beta: Sequence[int]) -> RatPoly:
     n = flow.dim
     if len(beta) != n:
         raise ValueError("beta length must equal the dimension")
+    if any(b < 0 for b in beta):
+        raise ValueError(f"beta entries must be nonnegative, got {list(beta)}")
     coeffs = flow.jac_det.coefficients_in(flow.time_vars())
     c = coeffs.get(tuple(int(b) for b in beta))
     if c is None:

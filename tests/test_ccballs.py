@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torsionlab.ccballs import BallSpec, ball_sample, doubling_check, vitali_cover
+from torsionlab import ccballs
+from torsionlab.ccballs import BallMap, BallSpec, ball_sample, doubling_check, vitali_cover
+from torsionlab.sampling import halton
 
 
 def spec_for(words, alpha, center=(0, 0, 0)):
@@ -63,24 +65,20 @@ class TestBallSample:
     def test_permuted_tuple_mutual_containment(self, moment2):
         # B^(I_sigma)(x; alpha) sits inside the inflated ball of the other
         # ordering; probed via Newton membership of the sample clouds
-        from torsionlab.ccballs import _BallGeometry
-
         table = moment2["table"]
-        a = 0.25
         base = ((1,), (2,), (1, 2))
         perm = ((1, 2), (2,), (1,))
-        geo_b = _BallGeometry(table, base, [0, 0, 0])
-        geo_p = _BallGeometry(table, perm, [0, 0, 0])
+        ball_b = BallMap(table, base)
+        ball_p = BallMap(table, perm)
+        x = np.zeros(3)
         spec_b = spec_for(base, Fraction(1, 4))
         spec_p = spec_for(perm, Fraction(1, 4))
-        from torsionlab.sampling import halton
-
         u = 2.0 * halton(3, 300, seed=5) - 1.0
-        cloud_b = geo_b.push(u * np.array(spec_b.box_halfwidths()))
-        cloud_p = geo_p.push(u * np.array(spec_p.box_halfwidths()))
+        cloud_b = ball_b.push(x, u * np.array(spec_b.box_halfwidths()))
+        cloud_p = ball_p.push(x, u * np.array(spec_p.box_halfwidths()))
         inflate = [h * 8 for h in spec_p.box_halfwidths()]
-        m1, bad1 = geo_p.members(cloud_b, inflate)
-        m2, bad2 = geo_b.members(cloud_p, [h * 8 for h in spec_b.box_halfwidths()])
+        m1, bad1 = ball_p.members([x], cloud_b, inflate)
+        m2, bad2 = ball_b.members([x], cloud_p, [h * 8 for h in spec_b.box_halfwidths()])
         assert m1.mean() >= 0.99 and m2.mean() >= 0.99
         assert bad1.mean() <= 0.01 and bad2.mean() <= 0.01
 
@@ -154,3 +152,57 @@ class TestVitali:
             counts.append(r["count"])
         assert counts[0] <= counts[1] <= counts[2]
         assert counts[2] > 1
+
+
+def rounded(x):
+    return np.array([float(Fraction(v).limit_denominator(10**9)) for v in x])
+
+
+class TestMembers:
+    WORDS = ((1,), (2,), (1, 2))
+
+    @pytest.mark.parametrize("chunk", [ccballs.CHUNK_ROWS, 37])
+    def test_many_centers_equal_one_center_calls(self, moment2, monkeypatch, chunk):
+        monkeypatch.setattr(ccballs, "CHUNK_ROWS", chunk)
+        ball = BallMap(moment2["table"], self.WORDS)
+        centers = 0.4 * (2.0 * halton(3, 6, seed=4) - 1.0)
+        ys = ball.push(np.zeros(3), 0.3 * (2.0 * halton(3, 25, seed=9) - 1.0))
+        hw = [0.2, 0.15, 0.1]
+        member, bad = ball.members(centers, ys, hw)
+        assert member.shape == bad.shape == (6, 25)
+        for k, c in enumerate(centers):
+            m1, b1 = ball.members([c], ys, hw)
+            assert np.array_equal(m1[0], member[k]) and np.array_equal(b1[0], bad[k])
+        # both outcomes occur, so the comparison can fail
+        assert member.any() and not member.all()
+
+    def test_no_centers(self, moment2):
+        ball = BallMap(moment2["table"], self.WORDS)
+        member, bad = ball.members(np.empty((0, 3)), np.zeros((4, 3)), [0.1] * 3)
+        assert member.shape == bad.shape == (0, 4)
+
+    def test_cover_over_two_chunks_matches_per_center_loop(self, moment2):
+        table, entries = moment2["table"], moment2["entries"]
+        r = vitali_cover(table, entries, [-0.5] * 3, [0.5] * 3, rho=8.0,
+                         delta=0.5, grid=5, seed=3)
+        words = tuple(tuple(w) for w in r["words"])
+        assert r["eligible_points"] == 125  # the whole grid, in meshgrid order
+        axis = np.linspace(-0.5, 0.5, 5)
+        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        # reference: one-center membership calls, stopping at the first hit
+        ball = BallMap(table, words)
+        r_small, r_big = r["radius_small"], r["radius_inflated"]
+        t_cloud = (2.0 * halton(3, 16, seed=3) - 1.0) * r_small
+        selected, centers = [], []
+        for x in mesh:
+            cloud = ball.push(rounded(x), t_cloud)
+            if not any(ball.members([c], cloud, [r_small] * 3)[0].any() for c in centers):
+                selected.append(list(map(float, x)))
+                centers.append(rounded(x))
+        covered = np.zeros(len(mesh), dtype=bool)
+        for c in centers:
+            covered |= ball.members([c], mesh, [r_big] * 3)[0][0]
+        # the coverage pass has rows (center, start, point): more than one chunk
+        assert len(centers) * 7 * len(mesh) > ccballs.CHUNK_ROWS
+        assert r["centers"] == selected and r["count"] == len(selected)
+        assert r["covered_fraction"] == float(covered.mean())

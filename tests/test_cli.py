@@ -198,6 +198,15 @@ class TestContracts:
         assert code == 2
         assert "samples" in capsys.readouterr().err
 
+    def test_scene_negative_beta_exit_2(self, scene_file, tmp_path, capsys):
+        data = json.loads(Path(scene_file).read_text())
+        data["beta"] = [-1, 0, 0]
+        p = tmp_path / "negative.json"
+        p.write_text(json.dumps(data))
+        code = main(["torsion", "--scene", str(p)])
+        assert code == 2
+        assert "beta" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bands", ["3", "a:b", "-6:2:1", "2:-6"])
     def test_verify_bad_bands_exit_2(self, scene_file, bands, capsys):
         code = main(["verify", "scales", "--scene", scene_file, f"--bands={bands}"])
@@ -256,6 +265,9 @@ class TestContracts:
           "--delta", "inf"], "delta"),
         (["ccball", "--scene", "builtin:moment2", "--check", "doubling",
           "--c", "nan"], "c must"),
+        (["torsion", "--scene", "builtin:moment2", "--beta", "a"], "--beta"),
+        (["torsion", "--scene", "builtin:moment2", "--beta=-1,0,0"], "--beta"),
+        (["torsion", "--scene", "builtin:moment2", "--beta", "0,,1"], "--beta"),
     ])
     def test_missing_or_bad_option_is_named(self, args, option, capsys):
         code = main(args)

@@ -1,11 +1,11 @@
-"""The float evaluator against exact evaluation, across batch sizes."""
+"""The float evaluator and the Newton solver, across batch sizes."""
 
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from torsionlab.numeric import JacobianEvaluator, MapEvaluator
+from torsionlab.numeric import JacobianEvaluator, MapEvaluator, newton_preimage
 from torsionlab.polycore import RatPoly
 
 
@@ -62,3 +62,48 @@ def test_wrong_point_shape_rejected():
     for pts in (np.zeros((5, 2)), np.zeros((5, 4)), np.zeros(3)):
         with pytest.raises(ValueError):
             ev(pts)
+
+
+def cusp(t):
+    """f(t) = (t0^3 + a t0 t1, t1 + 0.3 t0^2) on rows [a, t0, t1] (a = 1 if absent)."""
+    a = t[:, 0] if t.shape[1] == 3 else np.ones(len(t))
+    t0, t1 = t[:, -2], t[:, -1]
+    return np.stack([t0 ** 3 + a * t0 * t1, t1 + 0.3 * t0 ** 2], axis=1)
+
+
+def cusp_jacobian(t):
+    """d f / d(t0, t1); singular at t = 0."""
+    a = t[:, 0] if t.shape[1] == 3 else np.ones(len(t))
+    t0, t1 = t[:, -2], t[:, -1]
+    return np.stack([np.stack([3 * t0 ** 2 + a * t1, a * t0], axis=1),
+                     np.stack([0.6 * t0, np.ones(len(t))], axis=1)], axis=1)
+
+
+def test_newton_row_ignores_a_singular_neighbour():
+    target = np.array([[0.7, 0.2]])
+    alone, ok = newton_preimage(cusp, cusp_jacobian, target, [0.5, 0.1])
+    # the second row starts where the Jacobian is singular
+    both, ok2 = newton_preimage(cusp, cusp_jacobian, np.repeat(target, 2, axis=0),
+                                np.array([[0.5, 0.1], [0.0, 0.0]]))
+    assert ok[0] and ok2.all()
+    assert np.array_equal(both[0], alone[0])
+    singular_alone, _ = newton_preimage(cusp, cusp_jacobian, target, [0.0, 0.0])
+    assert np.array_equal(both[1], singular_alone[0])
+
+
+def test_newton_fixed_rows_match_one_parameter_solves():
+    rng = np.random.default_rng(3)
+    fixed = rng.uniform(0.5, 2.0, size=(12, 1))
+    targets = rng.uniform(0.1, 0.9, size=(12, 2))
+    starts = rng.uniform(0.2, 0.8, size=(12, 2))
+    sol, ok = newton_preimage(cusp, cusp_jacobian, targets, starts, fixed=fixed)
+    for i in range(12):
+        def fwd(t, a=fixed[i]):
+            return cusp(np.hstack([np.broadcast_to(a, (len(t), 1)), t]))
+
+        def jac(t, a=fixed[i]):
+            return cusp_jacobian(np.hstack([np.broadcast_to(a, (len(t), 1)), t]))
+
+        one, one_ok = newton_preimage(fwd, jac, targets[i:i + 1], starts[i])
+        assert np.array_equal(sol[i], one[0]) and ok[i] == one_ok[0]
+    assert ok.sum() >= 10

@@ -81,6 +81,11 @@ class TestJacobianDerivative:
         J = jacobian_derivative(psi, (1, 0))
         assert J.is_constant() and abs(J.constant_value()) == 2
 
+    def test_negative_entry_rejected(self, moment2):
+        psi = psi_flow(moment2["table"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            jacobian_derivative(psi, (-1, 0, 0))
+
     def test_enumeration_matches_single_queries(self, moment3):
         psi = psi_flow(moment3["table"])
         allJ = all_jacobian_derivatives(psi)
