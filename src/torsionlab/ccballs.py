@@ -289,15 +289,14 @@ def doubling_check(table: WordTable, entries: Sequence[LambdaEntry],
 def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
                  region_lo: Sequence[float], region_hi: Sequence[float],
                  rho: float, delta: float = 0.5, grid: int = 4,
-                 words: Sequence[Word] | None = None,
-                 c: float = 0.125, exponent: float = 1.0,
-                 cloud: int = 16, seed: int = 0) -> dict:
+                 c: float = 0.125, seed: int = 0) -> dict:
     """Greedy maximal-disjoint ball selection plus a coverage report.
 
-    Grid points where some |lambda_I| clears delta * |Lambda| are eligible
-    centers.  Selection uses balls of radius c^2 * rho^exponent; coverage is
-    then checked at the inflated radius c * rho^exponent.  The tuple defaults
-    to the one maximizing |lambda_I| at the region center.
+    The word tuple is the one maximizing |lambda_I| at the region center.
+    Grid points where its |lambda_I| clears delta * |Lambda| are eligible
+    centers.  Selection uses balls of radius c^2 * rho, each tested against
+    the selected centers at 16 Halton points; coverage is then checked at the
+    inflated radius c * rho.
     """
     _check_ball_params(rho, delta, c)
     if grid < 1:
@@ -306,12 +305,10 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     hi = np.asarray(region_hi, dtype=float)
     n = table.dim
     mid = [Fraction(a + b).limit_denominator(10**6) / 2 for a, b in zip(region_lo, region_hi)]
-    if words is None:
-        if not entries:
-            return {"centers": [], "count": 0, "covered_fraction": None,
-                    "reason": "no nonzero lambda classes"}
-        words = max(entries, key=lambda e: abs(float(e.poly.eval(mid)))).words
-    words = tuple(tuple(w) for w in words)
+    if not entries:
+        return {"centers": [], "count": 0, "covered_fraction": None,
+                "reason": "no nonzero lambda classes"}
+    words = max(entries, key=lambda e: abs(float(e.poly.eval(mid)))).words
     axes = [np.linspace(lo[i], hi[i], grid) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     lam_eval = MapEvaluator(tuple(e.poly for e in entries))
@@ -324,10 +321,10 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     if len(eligible) == 0:
         return {"centers": [], "count": 0, "covered_fraction": None,
                 "reason": "no eligible grid points", "words": [list(w) for w in words]}
-    r_small = (c ** 2) * (rho ** exponent)
-    r_big = c * (rho ** exponent)
+    r_small = (c ** 2) * rho
+    r_big = c * rho
     ball = BallMap(table, words)
-    t_cloud = (2.0 * halton(n, cloud, seed=seed) - 1.0) * r_small
+    t_cloud = (2.0 * halton(n, 16, seed=seed) - 1.0) * r_small
     selected: list[np.ndarray] = []
     centers = np.empty((0, n))  # the selected x, rounded as the balls see them
     for x in eligible:

@@ -304,7 +304,7 @@ def cmd_polyalg(args) -> int:
     if args.algorithm == "refine":
         pairs = json.loads(args.set)
         S = pa.IntervalSet.from_pairs(pairs)
-        r = pa.refine_interval(S, args.N, c=Fraction(args.c).limit_denominator(1000))
+        r = pa.refine_interval(S, c=Fraction(args.c).limit_denominator(1000))
         report = {
             "J": [str(r["J"][0]), str(r["J"][1])],
             "K": [str(r["K"][0]), str(r["K"][1])],
@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", type=str, default=None, help="polynomial JSON file")
     sp.add_argument("--eps", type=str, default="0.1")
     sp.add_argument("--set", type=str, default=None, help="interval list JSON")
-    sp.add_argument("--N", type=int, default=3)
     sp.add_argument("--c", type=str, default="0.5")
     sp.add_argument("--coeffs", type=str, default=None)
     sp.add_argument("--k", type=int, default=1)

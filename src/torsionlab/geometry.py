@@ -68,12 +68,6 @@ class PolyMap:
     def target_dim(self) -> int:
         return len(self.components)
 
-    def jacobian(self) -> PolyMatrix:
-        n = self.source_dim
-        return PolyMatrix.from_rows(
-            [[c.partial(j) for j in range(n)] for c in self.components]
-        )
-
     def eval(self, point: Sequence) -> list[Fraction]:
         return [c.eval(point) for c in self.components]
 
@@ -154,7 +148,7 @@ def hodge_star_field(pi: PolyMap) -> PolyVectorField:
     over Dpi, so dpi(X) = 0 and div X = 0 hold identically.
     """
     n = pi.source_dim
-    jac = pi.jacobian()
+    jac = PolyMatrix.jacobian(pi.components, range(n))
     comps = []
     for i in range(n):
         cols = [j for j in range(n) if j != i]
@@ -325,3 +319,11 @@ def lie_series_flow(x: PolyVectorField, max_terms: int = 40) -> FlowMap:
             acc = acc + term
         out.append(acc)
     return FlowMap(vector_field=x, map=tuple(out), terms_used=len(series))
+
+
+def compose_flow(x: PolyVectorField, time: RatPoly,
+                 state: Sequence[RatPoly]) -> list[RatPoly]:
+    """e^(time X) composed after ``state``: the flow of X from the point
+    ``state`` for ``time``, all polynomials in the variable space of ``time``."""
+    subs = list(state) + [time]
+    return [m.compose(subs) for m in lie_series_flow(x).map]

@@ -7,6 +7,11 @@ abstractly: truncated Baker-Campbell-Hausdorff products, weak Malcev bases
 through a prescribed subalgebra, the polynomial group law in Malcev
 coordinates, and the covering map built from flows at a base point.
 
+All exact linear algebra over Q lives here.  ``Span`` is the one answer to
+"coordinates in, or defect from, the span of these vectors", for word
+coordinates, Malcev structure constants and the normalizer chain.  Flows are
+composed by ``geometry.compose_flow``; Jacobians are ``PolyMatrix.jacobian``.
+
 Convention tying the abstract product to concrete flows: bch(U, V) is the
 element whose time-1 flow equals (flow V at time 1) composed after (flow U at
 time 1), i.e. flowing U first.  Tests pin this as an exact polynomial
@@ -26,7 +31,7 @@ from .geometry import (
     PolyVectorField,
     Word,
     WordTable,
-    lie_series_flow,
+    compose_flow,
 )
 from .polycore import PolyMatrix, RatPoly
 
@@ -69,33 +74,65 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows[:r], pivots
 
 
-def _in_span(basis_rref: list[list[Fraction]], pivots: list[int],
-             vec: Sequence[Fraction]) -> list[Fraction] | None:
-    """Coordinates of vec in the row space, or None if outside."""
-    v = list(vec)
-    coords = []
-    for row, p in zip(basis_rref, pivots):
-        f = v[p]
-        coords.append(f)
-        if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    if any(x != 0 for x in v):
-        return None
-    return coords
+def _rational_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix by exact Gaussian elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
 
 
-def _solve_in_basis(basis: list[list[Fraction]], vec: Sequence[Fraction]) -> list[Fraction] | None:
-    """Solve sum_i c_i basis[i] = vec exactly; None when unsolvable."""
-    n = len(vec)
-    k = len(basis)
-    aug = [[basis[i][r] for i in range(k)] + [Fraction(vec[r])] for r in range(n)]
-    rref, pivots = _echelon(aug)
-    coeffs = [Fraction(0)] * k
-    for row, p in zip(rref, pivots):
-        if p == k:
-            return None  # inconsistent
-        coeffs[p] = row[k]
-    return coeffs
+class Span:
+    """Span of rational vectors in Q^dim, row-reduced once.
+
+    One reduction of [A | I], where column j of A is ``vectors[j]``.  The
+    pivot columns of A are the greedy basis (each vector independent of the
+    earlier ones), ``basis`` lists their indices, and column j of the reduced
+    A, ``gen_coords[j]``, holds vector j's coordinates in that basis.  The
+    reduced I is the row-operation matrix E with E A = rref(A): its first
+    rank rows give any vector's basis coordinates, and its other rows are
+    functionals that vanish exactly on the span.
+    """
+
+    def __init__(self, vectors: Sequence[Sequence[Fraction]], dim: int):
+        k = len(vectors)
+        rref, pivots = _echelon(
+            [[v[i] for v in vectors] + [Fraction(int(i == j)) for j in range(dim)]
+             for i in range(dim)]
+        )
+        self.basis = [p for p in pivots if p < k]
+        self.rank = rank = len(self.basis)
+        self.gen_coords = [tuple(r[j] for r in rref[:rank]) for j in range(k)]
+        self._coord_rows = [r[k:] for r in rref[:rank]]
+        self._defect_rows = [r[k:] for r in rref[rank:]]
+
+    def defect(self, v: Sequence[Fraction]) -> list[Fraction]:
+        """Values of the functionals that vanish exactly on the span."""
+        return _apply(self._defect_rows, v)
+
+    def coords(self, v: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+        """Coordinates of v in the basis; None when v is outside the span."""
+        if any(self.defect(v)):
+            return None
+        return tuple(_apply(self._coord_rows, v))
+
+
+def _apply(rows: list[list[Fraction]], v: Sequence[Fraction]) -> list[Fraction]:
+    nz = [(i, x) for i, x in enumerate(v) if x != 0]
+    return [sum((row[i] * x for i, x in nz), Fraction(0)) for row in rows]
 
 
 def _nullspace(rows: list[list[Fraction]], dim: int) -> list[list[Fraction]]:
@@ -170,15 +207,13 @@ class AbstractNilpotent:
                 acc = acc + f.scale(c)
         return acc
 
-    def bch(self, u: Sequence, v: Sequence, step: int | None = None, zero=None):
-        """Truncated BCH product of coefficient vectors (exact)."""
-        s = self.step if step is None else step
-        if s > self.step:
-            raise ValueError("cannot exceed the certified nilpotency step")
+    def bch(self, u: Sequence, v: Sequence, zero=None):
+        """BCH product of coefficient vectors, exact: the Dynkin series
+        truncated at the nilpotency step."""
         if zero is None:
             zero = Fraction(0)
         out = [zero] * self.dim
-        for word, coeff in _dynkin_terms(s):
+        for word, coeff in _dynkin_terms(self.step):
             val = list(u) if word[-1] == 0 else list(v)
             for letter in reversed(word[:-1]):
                 val = self.bracket_vec(u if letter == 0 else v, val, zero=zero)
@@ -258,30 +293,22 @@ class WordBasis:
     words: tuple[Word, ...]
     fields: tuple[PolyVectorField, ...]
     coords: dict[Word, tuple[Fraction, ...]]
-    index: dict
-    ops: list[list[Fraction]]  # row operations that reduce the word matrix
+    index: dict  # (component, exponent) -> coefficient-vector slot
+    span: Span
 
     def coordinates(self, f: PolyVectorField) -> tuple[Fraction, ...] | None:
         """Coordinates of f in the basis; None when f leaves the span."""
         if any((i, exp) not in self.index
                for i, comp in enumerate(f.components) for exp in comp.terms):
             return None
-        vec = _field_vector(f, self.index)
-        nz = [(i, v) for i, v in enumerate(vec) if v != 0]
-        red = [sum((row[i] * v for i, v in nz), Fraction(0)) for row in self.ops]
-        dim = len(self.fields)
-        if any(x != 0 for x in red[dim:]):
-            return None
-        return tuple(red[:dim])
+        return self.span.coords(_field_vector(f, self.index))
 
 
 def word_basis(table: WordTable) -> WordBasis:
     """Basis fields of the span of a table's word fields, with coordinates.
 
-    One row reduction of [A | I], where column j of A is the coefficient
-    vector of the j-th word field: the pivot columns of A are the greedy basis
-    and column j of the reduced A holds word j's coordinates.  The reduced I
-    is the row-operation matrix, which ``coordinates`` applies to other fields.
+    The ``Span`` of the words' coefficient vectors: its greedy basis is the
+    basis and its generator coordinates are every word's coordinates.
     """
     words = table.words()
     index: dict = {}
@@ -289,18 +316,13 @@ def word_basis(table: WordTable) -> WordBasis:
         for comp_i, comp in enumerate(table.entries[w].components):
             for exp in comp.terms:
                 index.setdefault((comp_i, exp), len(index))
-    m, nw = len(index), len(words)
-    cols = [_field_vector(table.entries[w], index) for w in words]
-    rref, pivots = _echelon(
-        [[c[i] for c in cols] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    )
-    basis = [p for p in pivots if p < nw]
+    span = Span([_field_vector(table.entries[w], index) for w in words], len(index))
     return WordBasis(
-        words=tuple(words[p] for p in basis),
-        fields=tuple(table.entries[words[p]] for p in basis),
-        coords={w: tuple(r[j] for r in rref[:len(basis)]) for j, w in enumerate(words)},
+        words=tuple(words[p] for p in span.basis),
+        fields=tuple(table.entries[words[p]] for p in span.basis),
+        coords=dict(zip(words, span.gen_coords)),
         index=index,
-        ops=[r[nw:] for r in rref],
+        span=span,
     )
 
 
@@ -348,15 +370,13 @@ class MalcevBasis:
     split: int
 
     def tail_is_subalgebra(self, k: int) -> bool:
-        tail = [list(e) for e in self.elements[k:]]
-        if not tail:
-            return True
-        rref, piv = _echelon(tail)
-        for a, b in itertools.combinations(tail, 2):
-            br = self.algebra.bracket_vec(a, b)
-            if _in_span(rref, piv, br) is None:
-                return False
-        return True
+        return _is_subalgebra(self.algebra, [list(e) for e in self.elements[k:]])
+
+
+def _is_subalgebra(alg: AbstractNilpotent, vectors: list[list[Fraction]]) -> bool:
+    span = Span(vectors, alg.dim)
+    return all(span.coords(alg.bracket_vec(a, b)) is not None
+               for a, b in itertools.combinations(vectors, 2))
 
 
 def _subalgebra_chain(alg: AbstractNilpotent, start: list[list[Fraction]],
@@ -370,30 +390,18 @@ def _subalgebra_chain(alg: AbstractNilpotent, start: list[list[Fraction]],
     N = alg.dim
     added: list[list[Fraction]] = []
     current = [list(v) for v in start]
-    t_rref, t_piv = _echelon([list(v) for v in target]) if target else ([], [])
-    target_dim = len(t_rref)
+    target_basis = _echelon([list(v) for v in target])[0]
     while True:
-        c_rref, c_piv = _echelon(current) if current else ([], [])
-        cur_dim = len(c_rref)
-        if cur_dim == target_dim:
+        cur = Span(current, N)
+        if cur.rank == len(target_basis):
             return added
         # normalizer of current inside target: v with [v, h] in span(current)
-        # for every generator h; unknown v = sum_bi c_bi * target_basis[bi]
-        target_basis = [list(row) for row in t_rref]
+        # for every generator h, i.e. every defect functional of span(current)
+        # vanishes on [v, h]; unknown v = sum_bi c_bi * target_basis[bi]
         rows_for: list[list[Fraction]] = []
-        residual_len = N
         for h in current:
-            cols = []
-            for tb in target_basis:
-                br = alg.bracket_vec(tb, h)
-                v = list(br)
-                for row, p in zip(c_rref, c_piv):
-                    f = v[p]
-                    if f != 0:
-                        v = [a - f * b for a, b in zip(v, row)]
-                cols.append(v)
-            for r in range(residual_len):
-                rows_for.append([cols[bi][r] for bi in range(len(target_basis))])
+            cols = [cur.defect(alg.bracket_vec(tb, h)) for tb in target_basis]
+            rows_for.extend([list(row) for row in zip(*cols)])
         null = _nullspace(rows_for, len(target_basis))
         chosen = None
         for nv in null:
@@ -401,7 +409,7 @@ def _subalgebra_chain(alg: AbstractNilpotent, start: list[list[Fraction]],
             for c, tb in zip(nv, target_basis):
                 if c != 0:
                     cand = [a + c * b for a, b in zip(cand, tb)]
-            if _in_span(c_rref, c_piv, cand) is None:
+            if cur.coords(cand) is None:
                 chosen = cand
                 break
         if chosen is None:
@@ -420,11 +428,9 @@ def weak_malcev(alg: AbstractNilpotent, z_span: Sequence[Sequence[Fraction]]) ->
     """
     N = alg.dim
     z = [list(map(Fraction, v)) for v in z_span]
-    z_rref, z_piv = _echelon(z) if z else ([], [])
-    z_basis = [list(r) for r in z_rref]
-    for a, b in itertools.combinations(z_basis, 2):
-        if _in_span(z_rref, z_piv, alg.bracket_vec(a, b)) is None:
-            raise NotASubalgebra("prescribed span is not closed under the bracket")
+    z_basis = _echelon(z)[0]
+    if not _is_subalgebra(alg, z_basis):
+        raise NotASubalgebra("prescribed span is not closed under the bracket")
     full = [[Fraction(1 if i == j else 0) for j in range(N)] for i in range(N)]
     inner = _subalgebra_chain(alg, [], z_basis)      # builds z from nothing
     outer = _subalgebra_chain(alg, z_basis, full)    # extends z to the algebra
@@ -463,14 +469,13 @@ def _malcev_struct(basis: MalcevBasis) -> AbstractNilpotent:
     alg = basis.algebra
     N = alg.dim
     mats = [list(e) for e in basis.elements]
+    span = Span(mats, N)
+    if span.rank != N:
+        raise DependentBracket("Malcev basis does not span")
     struct: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for i in range(N):
         for j in range(i + 1, N):
-            br = alg.bracket_vec(mats[i], mats[j])
-            coeffs = _solve_in_basis(mats, br)
-            if coeffs is None:
-                raise DependentBracket("Malcev basis does not span")
-            struct[(i, j)] = tuple(coeffs)
+            struct[(i, j)] = span.coords(alg.bracket_vec(mats[i], mats[j]))
     return AbstractNilpotent(
         dim=N,
         basis_words=alg.basis_words,
@@ -510,12 +515,10 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
     q = peel(alg.bch(x2_elt, L1, zero=zero))
     r = peel(alg.bch(L1, x2_elt, zero=zero))
 
-    jac = PolyMatrix.from_rows([[q[i].partial(j) for j in range(N)] for i in range(N)])
-    if not jac.det() == RatPoly.const(nv, 1):
-        raise ArithmeticError("group law q is not volume preserving; algebra data bad")
-    rjac = PolyMatrix.from_rows([[r[i].partial(j) for j in range(N)] for i in range(N)])
-    if not rjac.det() == RatPoly.const(nv, 1):
-        raise ArithmeticError("group law r is not volume preserving; algebra data bad")
+    for name, law in (("q", q), ("r", r)):
+        if not PolyMatrix.jacobian(law, range(N)).det() == RatPoly.const(nv, 1):
+            raise ArithmeticError(
+                f"group law {name} is not volume preserving; algebra data bad")
     for i in range(N):
         for j in range(i + 1, N):
             if q[i].degree_in(j) > 0:
@@ -561,17 +564,12 @@ def covering_map(table: WordTable, x0: Sequence, step: int) -> CoveringMap:
     head = [alg.element_field(e) for e in basis.elements[:n]]
     state = [RatPoly.const(n, c) for c in x0]
     for i in reversed(range(n)):
-        fm = lie_series_flow(head[i])
-        subs = state + [RatPoly.variable(n, i)]
-        state = [m.compose(subs) for m in fm.map]
-    jac = PolyMatrix.from_rows([[state[i].partial(j) for j in range(n)] for i in range(n)])
-    det0 = jac.det().eval([0] * n)
+        state = compose_flow(head[i], RatPoly.variable(n, i), state)
+    det0 = PolyMatrix.jacobian(state, range(n)).det().eval([0] * n)
     if det0 == 0:
         raise SingularAtOrigin("covering map differential singular at the origin")
-    frame = PolyMatrix.from_rows(
-        [[RatPoly.const(n, head[j].eval(x0)[i]) for j in range(n)] for i in range(n)]
-    )
-    frame_det = frame.det().eval([0] * n)
+    frame = [f.eval(x0) for f in head]
+    frame_det = _rational_det([[frame[j][i] for j in range(n)] for i in range(n)])
     diagnostics = {
         "frame_det": frame_det,
         "det_matches_frame_up_to_sign": abs(det0) == abs(frame_det),

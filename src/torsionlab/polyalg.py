@@ -371,7 +371,7 @@ def _ceil_log43(q: Fraction) -> int:
     return m
 
 
-def refine_interval(S: IntervalSet, N: int, c: Fraction | float = Fraction(1, 2),
+def refine_interval(S: IntervalSet, c: Fraction | float = Fraction(1, 2),
                     cprime: Fraction | float = Fraction(1, 8),
                     max_iter: int = 100_000) -> dict:
     """Quarter-splitting stopping time: locate J and a separated partner K.
@@ -438,7 +438,7 @@ def refine_nested(S: IntervalSet, N: int, c=Fraction(1, 2),
     out = []
     cur = S
     for _ in range(N):
-        r = refine_interval(cur, N, c=c, cprime=cprime)
+        r = refine_interval(cur, c=c, cprime=cprime)
         out.append(r)
         cur = cur.clip(*r["J"])
         if cur.measure() == 0:
@@ -458,7 +458,7 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
     from scipy.integrate import quad
 
     coeffs = from_ratpoly(P) if isinstance(P, RatPoly) else [Fraction(x) for x in P]
-    r = refine_interval(S, N, c=c)
+    r = refine_interval(S, c=c)
     J = r["J"]
     total = float(S.measure())
     arr = np.array([float(x) for x in coeffs]) if coeffs else np.array([0.0])

@@ -272,24 +272,13 @@ class RatPoly:
             total = total + term
         return total
 
-    def extend(self, nvars_new: int, var_map: Sequence[int] | None = None) -> "RatPoly":
-        """Reinterpret in a larger variable space.
-
-        ``var_map[i]`` gives the new index of old variable i; identity embedding
-        when omitted.
-        """
-        if var_map is None:
-            var_map = list(range(self.nvars))
-        if len(var_map) != self.nvars or nvars_new < self.nvars:
-            raise ValueError("bad variable map")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            new = [0] * nvars_new
-            for i, e in enumerate(exp):
-                new[var_map[i]] = e
-            out[tuple(new)] = c
+    def extend(self, nvars_new: int) -> "RatPoly":
+        """Reinterpret in a larger variable space, old variables first."""
+        if nvars_new < self.nvars:
+            raise ValueError("cannot extend to fewer variables")
+        pad = (0,) * (nvars_new - self.nvars)
         res = RatPoly(nvars_new)
-        res.terms = out
+        res.terms = {exp + pad: c for exp, c in self.terms.items()}
         return res
 
     def coefficients_in(self, time_vars: Sequence[int]) -> dict[Exponent, "RatPoly"]:
@@ -390,6 +379,12 @@ class PolyMatrix:
     def from_rows(cls, rows: Iterable[Iterable[RatPoly]]) -> "PolyMatrix":
         grid = tuple(tuple(r) for r in rows)
         return cls(len(grid), len(grid[0]) if grid else 0, grid)
+
+    @classmethod
+    def jacobian(cls, components: Sequence[RatPoly], wrt: Iterable[int]) -> "PolyMatrix":
+        """Matrix of partials: entry (i, j) is d components[i] / d x_(wrt[j])."""
+        wrt = list(wrt)
+        return cls.from_rows([[c.partial(j) for j in wrt] for c in components])
 
     @property
     def nvars(self) -> int:

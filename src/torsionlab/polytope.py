@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import Word, WordTable, tuple_degree
-from .nilpotent import word_basis
+from .nilpotent import _rational_det, word_basis
 from .polycore import PolyMatrix, RatPoly
 from .torsion import (
     all_jacobian_derivatives,
@@ -236,27 +236,6 @@ class LambdaEntry:
     words: tuple[Word, ...]
     deg: tuple[int, int]
     poly: RatPoly
-
-
-def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by exact Gaussian elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
-        for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
 
 
 def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEntry]:

@@ -32,6 +32,18 @@ def _frac(v, path: str) -> Fraction:
     raise SceneValidationError(f"{path}: expected rational as string or int, got {type(v).__name__}")
 
 
+def _int(v, path: str) -> int:
+    """An integer field, given as a JSON integer or a decimal string."""
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if isinstance(v, str):
+        try:
+            return int(v)
+        except ValueError:
+            pass
+    raise SceneValidationError(f"{path}: expected an integer, got {v!r}")
+
+
 @dataclass
 class Box:
     lo: tuple[Fraction, ...]
@@ -126,7 +138,7 @@ def _levels_from_json(data, path: str) -> list[tuple[int, list[Box]]]:
         if "k" not in lvl or "boxes" not in lvl:
             raise SceneValidationError(f"{path}[{i}]: need 'k' and 'boxes'")
         out.append(
-            (int(lvl["k"]),
+            (_int(lvl["k"], f"{path}[{i}].k"),
              [Box.from_json(b, f"{path}[{i}].boxes[{j}]") for j, b in enumerate(lvl["boxes"])])
         )
     return out
@@ -147,13 +159,13 @@ def scene_from_json_dict(data: dict) -> Scene:
     if "name" in data:
         scene.name = str(data["name"])
     if "beta" in data:
-        scene.beta = tuple(int(b) for b in data["beta"])
+        scene.beta = tuple(_int(b, f"beta[{i}]") for i, b in enumerate(data["beta"]))
         if any(b < 0 for b in scene.beta):
             raise SceneValidationError(f"beta entries must be nonnegative, got {list(scene.beta)}")
         if len(scene.beta) != pi1.source_dim:
             raise SceneValidationError("beta length must equal the dimension")
     if "cap" in data:
-        scene.cap = int(data["cap"])
+        scene.cap = _int(data["cap"], "cap")
     if "domain" in data:
         scene.domain = Box.from_json(data["domain"], "domain")
         if scene.domain.dim != pi1.source_dim:
@@ -173,9 +185,9 @@ def scene_from_json_dict(data: dict) -> Scene:
             raise SceneValidationError("alpha must be a pair")
         scene.alpha = (_frac(a[0], "alpha[0]"), _frac(a[1], "alpha[1]"))
     if "seed" in data:
-        scene.seed = int(data["seed"])
+        scene.seed = _int(data["seed"], "seed")
     if "samples" in data:
-        scene.samples = int(data["samples"])
+        scene.samples = _int(data["samples"], "samples")
         if scene.samples < 1:
             raise SceneValidationError(f"samples must be at least 1, got {scene.samples}")
     return scene

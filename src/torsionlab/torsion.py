@@ -16,7 +16,9 @@ map Psi-tilde starts with X_2).  The weight carried by a multiindex beta is
     b(beta) = (sum over odd slots of 1+beta_j, sum over even slots of 1+beta_j)
 
 and endpoint exponents p = ((b1+b2-1)/b1, (b1+b2-1)/b2).  Everything here is
-exact; the numeric |.|^e evaluation lives in the verifier.
+exact; the numeric |.|^e evaluation lives in the verifier.  Each flow factor
+is one ``geometry.compose_flow`` step and the time Jacobian is a
+``PolyMatrix.jacobian``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import PolyVectorField, Word, WordTable, lie_series_flow
+from .geometry import Word, WordTable, compose_flow
 from .polycore import PolyMatrix, RatPoly
 
 
@@ -58,18 +60,6 @@ class IterFlowMap:
         pt = list(x) + list(t)
         return [m.eval(pt) for m in self.map]
 
-    def jac_at(self, x: Sequence, t: Sequence) -> Fraction:
-        return self.jac_det.eval(list(x) + list(t))
-
-
-def _flow_in_ambient(field: PolyVectorField, time_index: int, nvars: int,
-                     state: Sequence[RatPoly]) -> list[RatPoly]:
-    """Compose one exact flow step onto ``state`` inside a larger variable space."""
-    fm = lie_series_flow(field)
-    n = field.dim
-    subs = list(state) + [RatPoly.variable(nvars, time_index)]
-    return [m.compose(subs) for m in fm.map]
-
 
 def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
     """Exact Phi^I_x for a tuple of words, flowing along words[0] first.
@@ -91,10 +81,8 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
         fld = table.field_for(w)
         if fld.is_zero():
             continue  # identity factor
-        state = _flow_in_ambient(fld, n + slot, nv, state)
-    jac = PolyMatrix.from_rows(
-        [[state[i].partial(n + j) for j in range(n)] for i in range(n)]
-    )
+        state = compose_flow(fld, RatPoly.variable(nv, n + slot), state)
+    jac = PolyMatrix.jacobian(state, range(n, nv))
     result = IterFlowMap(words=key, map=tuple(state), jac_det=jac.det())
     cache[key] = result
     return result
@@ -113,39 +101,29 @@ def psi_tilde_flow(table: WordTable) -> IterFlowMap:
     return iter_flow(table, psi_words(table.dim, start=2))
 
 
-def jacobian_derivative(flow: IterFlowMap, beta: Sequence[int]) -> RatPoly:
-    """J^beta(x) = d_t^beta jac_det at t = 0, an exact polynomial in x.
+def _beta_derivative(beta: tuple[int, ...], coeff: RatPoly, n: int) -> RatPoly:
+    """beta! times the t^beta coefficient of jac_det, restricted from 2n
+    variables down to the base block."""
+    factor = math.prod(math.factorial(b) for b in beta)
+    return RatPoly(n, {exp[:n]: v * factor for exp, v in coeff.terms.items()})
 
-    Extracted as beta! times the t-coefficient of jac_det, then restricted to
-    the base variables.
-    """
+
+def jacobian_derivative(flow: IterFlowMap, beta: Sequence[int]) -> RatPoly:
+    """J^beta(x) = d_t^beta jac_det at t = 0, an exact polynomial in x."""
     n = flow.dim
     if len(beta) != n:
         raise ValueError("beta length must equal the dimension")
     if any(b < 0 for b in beta):
         raise ValueError(f"beta entries must be nonnegative, got {list(beta)}")
-    coeffs = flow.jac_det.coefficients_in(flow.time_vars())
-    c = coeffs.get(tuple(int(b) for b in beta))
-    if c is None:
-        return RatPoly.zero(n)
-    factor = 1
-    for b in beta:
-        factor *= math.factorial(b)
-    # restrict from 2n variables down to the base block
-    out = RatPoly(n, {exp[:n]: v * factor for exp, v in c.terms.items()})
-    return out
+    beta = tuple(int(b) for b in beta)
+    c = flow.jac_det.coefficients_in(flow.time_vars()).get(beta)
+    return RatPoly.zero(n) if c is None else _beta_derivative(beta, c, n)
 
 
 def all_jacobian_derivatives(flow: IterFlowMap) -> dict[tuple[int, ...], RatPoly]:
     """Every beta with J^beta not identically zero, read off the Jacobian expansion."""
-    n = flow.dim
-    out = {}
-    for texp, c in flow.jac_det.coefficients_in(flow.time_vars()).items():
-        factor = 1
-        for b in texp:
-            factor *= math.factorial(b)
-        out[texp] = RatPoly(n, {exp[:n]: v * factor for exp, v in c.terms.items()})
-    return out
+    return {texp: _beta_derivative(texp, c, flow.dim)
+            for texp, c in flow.jac_det.coefficients_in(flow.time_vars()).items()}
 
 
 def b_of_beta(beta: Sequence[int]) -> tuple[int, int]:
@@ -185,7 +163,8 @@ class TorsionProfile:
     rho_exponent: Fraction
 
     def rho_at(self, point: Sequence) -> float:
-        """Numeric weight value; the single sanctioned float crossing."""
+        """Weight value at one rational point, for spot checks; batched float
+        evaluation goes through ``numeric.MapEvaluator``."""
         v = self.J_beta.eval(point)
         return float(abs(v)) ** float(self.rho_exponent)
 
@@ -222,10 +201,7 @@ def _constant_jacobian(components: Sequence[RatPoly]) -> Fraction:
     n = components[0].nvars
     if len(components) != n:
         raise ValueError("expected a self-map")
-    jac = PolyMatrix.from_rows(
-        [[c.partial(j) for j in range(n)] for c in components]
-    )
-    d = jac.det()
+    d = PolyMatrix.jacobian(components, range(n)).det()
     if not d.is_constant():
         raise NonConstantJacobian(f"Jacobian determinant {d!r} is not constant")
     return d.constant_value()

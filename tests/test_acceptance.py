@@ -339,7 +339,7 @@ def test_criterion_9_appendix_algorithms():
     ]
     N = 3
     for S in sets:
-        r = refine_interval(S, N)
+        r = refine_interval(S)
         assert r["S_in_J"] >= S.measure() / 4 ** (N + 1)
     # sublevel scaling exponents against the closed form 2 eps^(1/N)
     for Ndeg in range(1, 6):

@@ -128,7 +128,7 @@ class TestSubcommands:
 
     def test_polyalg_refine(self, capsys):
         code, out = run(
-            ["polyalg", "refine", "--set", "[[0, 1]]", "--N", "3"], capsys)
+            ["polyalg", "refine", "--set", "[[0, 1]]"], capsys)
         assert code == 0
         assert out["J"] == ["0", "1/4"]
 
@@ -206,6 +206,25 @@ class TestContracts:
         code = main(["torsion", "--scene", str(p)])
         assert code == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("beta", [0, 1.5, 0], "beta[1]"),
+        ("beta", [0, True, 0], "beta[1]"),
+        ("cap", 2.7, "cap"),
+        ("samples", 3.9, "samples"),
+        ("seed", "x", "seed"),
+        ("f1", [{"k": 0.5, "boxes": [{"lo": ["0", "0"], "hi": ["1", "1"]}]}],
+         "f1[0].k"),
+    ])
+    def test_scene_integer_field_is_named(self, scene_file, tmp_path, key,
+                                          value, path, capsys):
+        data = json.loads(Path(scene_file).read_text())
+        data[key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code = main(["torsion", "--scene", str(p)])
+        assert code == 2
+        assert f"{path}: expected an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bands", ["3", "a:b", "-6:2:1", "2:-6"])
     def test_verify_bad_bands_exit_2(self, scene_file, bands, capsys):

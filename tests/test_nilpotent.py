@@ -17,6 +17,9 @@ from torsionlab.geometry import (
 from torsionlab.nilpotent import (
     NotASubalgebra,
     SingularAtOrigin,
+    Span,
+    _echelon,
+    _malcev_struct,
     abstract_algebra,
     covering_map,
     group_law,
@@ -25,11 +28,78 @@ from torsionlab.nilpotent import (
     word_basis,
 )
 from torsionlab.polycore import RatPoly
+from torsionlab.scenes import power2d_scene
 
 
 def rational_vec(rng, dim, scale=3):
     return [Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
             for _ in range(dim)]
+
+
+def combine(coeffs, vectors, dim):
+    out = [Fraction(0)] * dim
+    for c, v in zip(coeffs, vectors):
+        out = [a + c * b for a, b in zip(out, v)]
+    return out
+
+
+def spanning_set(rng, dim):
+    """Random vectors of rank below dim, with dependent and zero members."""
+    indep = [rational_vec(rng, dim) for _ in range(rng.randint(1, dim - 1))]
+    vs = indep + [combine(rational_vec(rng, len(indep)), indep, dim)
+                  for _ in range(rng.randint(0, 3))] + [[Fraction(0)] * dim]
+    rng.shuffle(vs)
+    return vs
+
+
+class TestSpan:
+    def test_generator_coordinates_rebuild_each_vector(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            dim = rng.randint(2, 6)
+            vs = spanning_set(rng, dim)
+            span = Span(vs, dim)
+            assert span.rank == len(_echelon(vs)[0])
+            basis = [vs[b] for b in span.basis]
+            for v, c in zip(vs, span.gen_coords):
+                assert combine(c, basis, dim) == v
+                assert span.coords(v) == c
+
+    def test_coords_and_defect_decide_membership(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            dim = rng.randint(2, 6)
+            vs = spanning_set(rng, dim)
+            span = Span(vs, dim)
+            basis = [vs[b] for b in span.basis]
+            # the defect functionals are independent and vanish on the span,
+            # so their common kernel is exactly the span
+            units = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+            functionals = list(zip(*(span.defect(e) for e in units)))
+            assert len(_echelon([list(f) for f in functionals])[0]) == dim - span.rank
+            for _ in range(4):
+                inside = combine(rational_vec(rng, span.rank), basis, dim)
+                assert not any(span.defect(inside))
+                assert combine(span.coords(inside), basis, dim) == inside
+                outside = rational_vec(rng, dim)
+                if len(_echelon(vs + [outside])[0]) > span.rank:
+                    assert any(span.defect(outside))
+                    assert span.coords(outside) is None
+
+    @pytest.mark.parametrize("name", ["moment3", "power2d_k3"])
+    def test_malcev_struct_matches_direct_solve(self, name, moment3):
+        table = moment3["table"] if name == "moment3" else power2d_scene(3).word_table()
+        alg = abstract_algebra(table, nilpotency_step(table))
+        basis = weak_malcev(alg, isotropy_subalgebra(alg, [0] * table.dim))
+        mats = [list(e) for e in basis.elements]
+        N = alg.dim
+        struct = _malcev_struct(basis).struct
+        assert len(struct) == N * (N - 1) // 2
+        for (i, j), coeffs in struct.items():
+            br = alg.bracket_vec(mats[i], mats[j])
+            rref, pivots = _echelon([[m[r] for m in mats] + [br[r]] for r in range(N)])
+            assert pivots == list(range(N))
+            assert coeffs == tuple(row[N] for row in rref)
 
 
 @pytest.fixture(scope="module")

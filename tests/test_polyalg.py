@@ -156,7 +156,7 @@ class TestExtractTwoTerms:
 class TestRefineInterval:
     def test_unit_interval(self):
         S = IntervalSet.from_pairs([[0, 1]])
-        r = refine_interval(S, 3)
+        r = refine_interval(S)
         assert r["J"] == (F(0), F(1, 4))
         assert r["S_in_J"] == F(1, 4)
         assert r["iterations"] == 1
@@ -164,7 +164,7 @@ class TestRefineInterval:
     def test_two_clusters(self):
         eps = F(1, 2 ** 10)
         S = IntervalSet.from_pairs([[0, eps], [1 - eps, 1]])
-        r = refine_interval(S, 3)
+        r = refine_interval(S)
         # both clusters survive in the first split: J and K carry eps mass
         assert r["S_in_J"] == eps
         assert r["S_in_K"] == eps
@@ -172,7 +172,7 @@ class TestRefineInterval:
 
     def test_single_far_interval(self):
         S = IntervalSet.from_pairs([[10, 11]])
-        r = refine_interval(S, 3)
+        r = refine_interval(S)
         a, b = r["J"]
         assert F(10) <= a < b <= F(11)
 
@@ -204,12 +204,12 @@ class TestRefineInterval:
             corpus.append(IntervalSet.from_pairs(pairs))
         N = 3
         for S in corpus:
-            r = refine_interval(S, N)
+            r = refine_interval(S)
             assert r["S_in_J"] >= S.measure() / 4 ** (N + 1), S
 
     def test_zero_measure_rejected(self):
         with pytest.raises(HypothesisNotMet):
-            refine_interval(IntervalSet.from_pairs([]), 3)
+            refine_interval(IntervalSet.from_pairs([]))
 
 
 class TestRefinementBound:
