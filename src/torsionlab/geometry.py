@@ -321,9 +321,10 @@ def lie_series_flow(x: PolyVectorField, max_terms: int = 40) -> FlowMap:
     return FlowMap(vector_field=x, map=tuple(out), terms_used=len(series))
 
 
-def compose_flow(x: PolyVectorField, time: RatPoly,
+def compose_flow(flow: FlowMap, time: RatPoly,
                  state: Sequence[RatPoly]) -> list[RatPoly]:
-    """e^(time X) composed after ``state``: the flow of X from the point
-    ``state`` for ``time``, all polynomials in the variable space of ``time``."""
+    """e^(time X) composed after ``state``, for ``flow`` the flow of X: the
+    flow from the point ``state`` for ``time``, all polynomials in the
+    variable space of ``time``."""
     subs = list(state) + [time]
-    return [m.compose(subs) for m in lie_series_flow(x).map]
+    return [m.compose(subs) for m in flow.map]

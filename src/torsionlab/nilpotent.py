@@ -32,6 +32,7 @@ from .geometry import (
     Word,
     WordTable,
     compose_flow,
+    lie_series_flow,
 )
 from .polycore import PolyMatrix, RatPoly
 
@@ -564,7 +565,7 @@ def covering_map(table: WordTable, x0: Sequence, step: int) -> CoveringMap:
     head = [alg.element_field(e) for e in basis.elements[:n]]
     state = [RatPoly.const(n, c) for c in x0]
     for i in reversed(range(n)):
-        state = compose_flow(head[i], RatPoly.variable(n, i), state)
+        state = compose_flow(lie_series_flow(head[i]), RatPoly.variable(n, i), state)
     det0 = PolyMatrix.jacobian(state, range(n)).det().eval([0] * n)
     if det0 == 0:
         raise SingularAtOrigin("covering map differential singular at the origin")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Word, WordTable, compose_flow
+from .geometry import Word, WordTable, compose_flow, lie_series_flow
 from .polycore import PolyMatrix, RatPoly
 
 
@@ -81,7 +81,7 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
         fld = table.field_for(w)
         if fld.is_zero():
             continue  # identity factor
-        state = compose_flow(fld, RatPoly.variable(nv, n + slot), state)
+        state = compose_flow(lie_series_flow(fld), RatPoly.variable(nv, n + slot), state)
     jac = PolyMatrix.jacobian(state, range(n, nv))
     result = IterFlowMap(words=key, map=tuple(state), jac_det=jac.det())
     cache[key] = result
@@ -101,13 +101,6 @@ def psi_tilde_flow(table: WordTable) -> IterFlowMap:
     return iter_flow(table, psi_words(table.dim, start=2))
 
 
-def _beta_derivative(beta: tuple[int, ...], coeff: RatPoly, n: int) -> RatPoly:
-    """beta! times the t^beta coefficient of jac_det, restricted from 2n
-    variables down to the base block."""
-    factor = math.prod(math.factorial(b) for b in beta)
-    return RatPoly(n, {exp[:n]: v * factor for exp, v in coeff.terms.items()})
-
-
 def jacobian_derivative(flow: IterFlowMap, beta: Sequence[int]) -> RatPoly:
     """J^beta(x) = d_t^beta jac_det at t = 0, an exact polynomial in x."""
     n = flow.dim
@@ -115,15 +108,18 @@ def jacobian_derivative(flow: IterFlowMap, beta: Sequence[int]) -> RatPoly:
         raise ValueError("beta length must equal the dimension")
     if any(b < 0 for b in beta):
         raise ValueError(f"beta entries must be nonnegative, got {list(beta)}")
-    beta = tuple(int(b) for b in beta)
-    c = flow.jac_det.coefficients_in(flow.time_vars()).get(beta)
-    return RatPoly.zero(n) if c is None else _beta_derivative(beta, c, n)
+    return all_jacobian_derivatives(flow).get(tuple(int(b) for b in beta), RatPoly.zero(n))
 
 
 def all_jacobian_derivatives(flow: IterFlowMap) -> dict[tuple[int, ...], RatPoly]:
-    """Every beta with J^beta not identically zero, read off the Jacobian expansion."""
-    return {texp: _beta_derivative(texp, c, flow.dim)
-            for texp, c in flow.jac_det.coefficients_in(flow.time_vars()).items()}
+    """Every beta with J^beta not identically zero, read off the Jacobian expansion:
+    beta! times the t^beta coefficient of jac_det, restricted to the base block."""
+    n = flow.dim
+    out = {}
+    for beta, c in flow.jac_det.coefficients_in(flow.time_vars()).items():
+        factor = math.prod(math.factorial(b) for b in beta)
+        out[beta] = RatPoly(n, {exp[:n]: v * factor for exp, v in c.terms.items()})
+    return out
 
 
 def b_of_beta(beta: Sequence[int]) -> tuple[int, int]:
