@@ -184,6 +184,7 @@ class WordTable:
     entries: dict[Word, PolyVectorField]
     dim: int
     _flow_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _frame: object = field(default=None, repr=False, compare=False)  # nilpotent.basis_frame
 
     def words(self) -> list[Word]:
         return sorted(self.entries, key=lambda w: (len(w), w))

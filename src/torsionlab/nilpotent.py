@@ -63,11 +63,11 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -325,6 +325,57 @@ def word_basis(table: WordTable) -> WordBasis:
         index=index,
         span=span,
     )
+
+
+@dataclass(frozen=True)
+class BasisFrame:
+    """A table's word basis E_1..E_N with its frame minors and ad matrices.
+
+    ``minors`` holds every nonzero n-minor det(E_S), the determinant of the
+    basis fields indexed by S, as (S, polynomial) in
+    ``itertools.combinations`` order.  ``letter_ad[i]`` is the matrix of
+    ad X_i on the span: column k is ``coords[(i,) + w_k]``, zero when that
+    word vanished within the cap.  ``letter_ad`` is None when some
+    (i,) + w_k lies beyond the cap, so the span is not known to be closed.
+    """
+
+    basis: WordBasis
+    minors: tuple[tuple[tuple[int, ...], RatPoly], ...]
+    letter_ad: dict[int, list[list[Fraction]]] | None
+
+    def ad(self, w: Word) -> list[list[Fraction]]:
+        """Matrix of ad X_w, by ad X_(i,w) = [ad X_i, ad X_w]."""
+        a = self.letter_ad[w[0]]
+        if len(w) == 1:
+            return a
+        b = self.ad(w[1:])
+        return [[sum(a[r][m] * b[m][c] - b[r][m] * a[m][c] for m in range(len(a)))
+                 for c in range(len(a))] for r in range(len(a))]
+
+
+def basis_frame(table: WordTable) -> BasisFrame:
+    """The table's ``BasisFrame``, built once and kept on the table."""
+    if table._frame is not None:
+        return table._frame
+    basis = word_basis(table)
+    n, N = table.dim, len(basis.fields)
+    minors = []
+    for cols in itertools.combinations(range(N), n):
+        d = PolyMatrix.from_rows(
+            [[basis.fields[j].components[i] for j in cols] for i in range(n)]
+        ).det()
+        if not d.is_zero():
+            minors.append((cols, d))
+    letter_ad: dict | None = {}
+    zero = (Fraction(0),) * N
+    for i in (1, 2):
+        iws = [(i,) + w for w in basis.words]
+        if any(iw not in basis.coords and len(iw) > table.cap for iw in iws):
+            letter_ad = None
+            break
+        letter_ad[i] = [list(row) for row in zip(*(basis.coords.get(iw, zero) for iw in iws))]
+    table._frame = BasisFrame(basis=basis, minors=tuple(minors), letter_ad=letter_ad)
+    return table._frame
 
 
 def abstract_algebra(table: WordTable, step: int) -> AbstractNilpotent:

@@ -785,6 +785,15 @@ def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
     anchor.  Certification checks the domination inequality on the whole
     piece exactly; a step where no center certifies any width counts in
     ``diagnostics["uncertified_pieces"]``.
+
+    The predicate is eps-domination: on the whole piece, every Taylor term at
+    the center is at most eps times one dominant term.  An exponent-0 piece
+    centred at c then certifies a length of only about eps * dist(c, nearest
+    root), so crossing from 2 eps to 2/eps on each side of a simple root takes
+    about (1/eps) ln(1/eps^2) pieces.  That 1/eps growth is intrinsic to the
+    predicate (tests pin the count for t^2 - 1).  This is not the
+    decomposition into O(d^2) root-cluster intervals with constants depending
+    only on the degree (Dendrinos-Wright, Amer. J. Math. 2010).
     """
     dense = [from_ratpoly(p) if isinstance(p, RatPoly) else utrim([Fraction(c) for c in p])
              for p in polys]

@@ -310,6 +310,17 @@ class RatPoly:
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         d_exp, d_c = divisor.leading()
+        if len(divisor.terms) == 1:
+            # a monomial divides term by term
+            out = {}
+            for exp, c in self.terms.items():
+                q_exp = tuple(a - b for a, b in zip(exp, d_exp))
+                if any(e < 0 for e in q_exp):
+                    raise ExactDivisionError("leading term not divisible")
+                out[q_exp] = c / d_c
+            res = RatPoly(self.nvars)
+            res.terms = out
+            return res
         rem = self
         quo = RatPoly.zero(self.nvars)
         while not rem.is_zero():

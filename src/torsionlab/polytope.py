@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import Word, WordTable, tuple_degree
-from .nilpotent import _rational_det, word_basis
-from .polycore import PolyMatrix, RatPoly
+from .nilpotent import _rational_det, basis_frame
+from .polycore import RatPoly
 from .torsion import (
     all_jacobian_derivatives,
     b_of_beta,
@@ -247,7 +247,8 @@ def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEn
 
     Each determinant is the Cauchy-Binet sum over the coordinates of
     ``word_basis``: det(X_W) = sum over n-subsets S of the N basis fields of
-    det(C[W, S]) * det(E_S), with det(E_S) computed once per S.  The sum is
+    det(C[W, S]) * det(E_S), with the nonzero det(E_S) read from the table's
+    ``basis_frame``, which the torsion Jacobian shares.  The sum is
     exact, so the classes, their naming tuples and their polynomials are those
     of a direct polynomial determinant of every tuple.  The tuple budget is
     checked before any determinant is formed.
@@ -261,19 +262,12 @@ def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEn
         raise TupleBudgetExceeded(
             f"{total} word tuples exceed budget {tuple_budget}"
         )
-    basis = word_basis(table)
-    subset_dets = []
-    for cols in itertools.combinations(range(len(basis.fields)), n):
-        d = PolyMatrix.from_rows(
-            [[basis.fields[j].components[i] for j in cols] for i in range(n)]
-        ).det()
-        if not d.is_zero():
-            subset_dets.append((cols, d))
+    frame = basis_frame(table)
     classes: dict[tuple, LambdaEntry] = {}
     for combo in itertools.combinations(words, n):
-        coords = [basis.coords[w] for w in combo]
+        coords = [frame.basis.coords[w] for w in combo]
         acc: dict = {}
-        for cols, d in subset_dets:
+        for cols, d in frame.minors:
             minor = _rational_det([[row[j] for j in cols] for row in coords])
             if minor != 0:
                 for exp, c in d.terms.items():

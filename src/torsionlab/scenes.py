@@ -25,7 +25,7 @@ def _frac(v, path: str) -> Fraction:
     try:
         if isinstance(v, str):
             return Fraction(v)
-        if isinstance(v, int):
+        if isinstance(v, int) and not isinstance(v, bool):
             return Fraction(v)
     except (ValueError, ZeroDivisionError) as e:
         raise SceneValidationError(f"{path}: bad rational {v!r} ({e})") from None
@@ -42,6 +42,13 @@ def _int(v, path: str) -> int:
         except ValueError:
             pass
     raise SceneValidationError(f"{path}: expected an integer, got {v!r}")
+
+
+def _list(v, path: str) -> list:
+    """A JSON list field; a string would otherwise be read per character."""
+    if not isinstance(v, list):
+        raise SceneValidationError(f"{path}: expected a list, got {v!r}")
+    return v
 
 
 @dataclass
@@ -69,8 +76,10 @@ class Box:
     def from_json(cls, data, path: str = "box") -> "Box":
         if not isinstance(data, dict) or "lo" not in data or "hi" not in data:
             raise SceneValidationError(f"{path}: expected {{'lo': [...], 'hi': [...]}}")
-        lo = tuple(_frac(v, f"{path}.lo[{i}]") for i, v in enumerate(data["lo"]))
-        hi = tuple(_frac(v, f"{path}.hi[{i}]") for i, v in enumerate(data["hi"]))
+        lo = tuple(_frac(v, f"{path}.lo[{i}]")
+                   for i, v in enumerate(_list(data["lo"], f"{path}.lo")))
+        hi = tuple(_frac(v, f"{path}.hi[{i}]")
+                   for i, v in enumerate(_list(data["hi"], f"{path}.hi")))
         return cls(lo, hi)
 
     def to_json_dict(self) -> dict:
@@ -159,7 +168,8 @@ def scene_from_json_dict(data: dict) -> Scene:
     if "name" in data:
         scene.name = str(data["name"])
     if "beta" in data:
-        scene.beta = tuple(_int(b, f"beta[{i}]") for i, b in enumerate(data["beta"]))
+        scene.beta = tuple(_int(b, f"beta[{i}]")
+                           for i, b in enumerate(_list(data["beta"], "beta")))
         if any(b < 0 for b in scene.beta):
             raise SceneValidationError(f"beta entries must be nonnegative, got {list(scene.beta)}")
         if len(scene.beta) != pi1.source_dim:
@@ -180,7 +190,7 @@ def scene_from_json_dict(data: dict) -> Scene:
         if key in data:
             setattr(scene, key, _levels_from_json(data[key], key))
     if "alpha" in data:
-        a = data["alpha"]
+        a = _list(data["alpha"], "alpha")
         if len(a) != 2:
             raise SceneValidationError("alpha must be a pair")
         scene.alpha = (_frac(a[0], "alpha[0]"), _frac(a[1], "alpha[1]"))

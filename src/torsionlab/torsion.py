@@ -17,8 +17,27 @@ map Psi-tilde starts with X_2).  The weight carried by a multiindex beta is
 
 and endpoint exponents p = ((b1+b2-1)/b1, (b1+b2-1)/b2).  Everything here is
 exact; the numeric |.|^e evaluation lives in the verifier.  Each flow factor
-is one ``geometry.compose_flow`` step and the time Jacobian is a
-``PolyMatrix.jacobian``.
+is one ``geometry.compose_flow`` step.
+
+The time Jacobian rests on the nilpotent structure.  Column j of d Phi/dt is
+Y_j = X_{w_j} pushed forward by the later flows, evaluated at Phi.  In the
+coordinates of the word basis E_1..E_N (``nilpotent.basis_frame``) that
+pushforward is
+
+    c_j(t) = exp(-t_n ad Y_n) ... exp(-t_(j+1) ad Y_(j+1)) v_j,
+
+with v_j the coordinates of Y_j.  This is the convention (phi_s)_* Y =
+exp(-s ad Z) Y for phi the flow of Z, with no further global sign.  Every
+series is finite because ad is nilpotent, so C(t) = [c_1 ... c_n] is an
+N x n polynomial matrix in t alone, and Cauchy-Binet gives
+
+    det d Phi/dt = sum over n-subsets S of det C(t)[S, :] * (det E_S) o Phi.
+
+On moment curves N = n and det E is constant, so no composition is needed.
+When the span is not known to be closed (a bracket [X_i, E_k] lies beyond
+the table's cap), or an ad series is still nonzero after N terms, the
+Jacobian of the composed map is taken by one Bareiss determinant over all
+2n variables instead.  Both routes give the same polynomial.
 """
 
 from __future__ import annotations
@@ -29,6 +48,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Word, WordTable, compose_flow, lie_series_flow
+from .nilpotent import basis_frame
 from .polycore import PolyMatrix, RatPoly
 
 
@@ -67,6 +87,14 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
     Absent words act as zero fields and contribute identity factors; the
     resulting Jacobian is then degenerate, which is legal.  Results are
     memoized on the table.
+
+    ``jac_det`` is det d Phi/dt = sum_S det C(t)[S, :] * (det E_S) o Phi
+    (``adjoint_jac_det``), where column j of C(t) holds the word coordinates
+    of exp(-t_n ad Y_n) ... exp(-t_(j+1) ad Y_(j+1)) Y_j, Y_j = X_{w_j}, with
+    no further global sign.  When the table's span is not known to be closed
+    (some [X_i, E_k] lies beyond the cap) or an ad series is still nonzero
+    after N terms, it is one Bareiss determinant of the composed map's time
+    Jacobian over all 2n variables.  Both give the same polynomial.
     """
     key = tuple(tuple(w) for w in words)
     cache = table._flow_cache
@@ -82,10 +110,66 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
         if fld.is_zero():
             continue  # identity factor
         state = compose_flow(lie_series_flow(fld), RatPoly.variable(nv, n + slot), state)
-    jac = PolyMatrix.jacobian(state, range(n, nv))
-    result = IterFlowMap(words=key, map=tuple(state), jac_det=jac.det())
+    jac_det = adjoint_jac_det(table, key, state)
+    if jac_det is None:
+        jac_det = PolyMatrix.jacobian(state, range(n, nv)).det()
+    result = IterFlowMap(words=key, map=tuple(state), jac_det=jac_det)
     cache[key] = result
     return result
+
+
+def adjoint_jac_det(table: WordTable, words: Sequence[Word],
+                    state: Sequence[RatPoly]) -> RatPoly | None:
+    """det d Phi/dt for Phi = ``state`` the composed flow of ``words``, by
+    Cauchy-Binet over the table's word basis (see the module docstring).
+
+    Returns None, so that the caller takes the Bareiss determinant, when the
+    table's ad matrices are unknown or an ad series is still nonzero after N
+    terms.
+    """
+    frame = basis_frame(table)
+    if frame.letter_ad is None:
+        return None
+    n = table.dim
+    nv = 2 * n
+    if any(w not in table.entries for w in words):
+        return RatPoly.zero(nv)  # a vanished word gives a zero column
+    N = len(frame.basis.words)
+    # column j of C(t) as {t-exponent: coordinate vector}
+    cols: list[dict[tuple[int, ...], list[Fraction]]] = []
+    for slot, w in enumerate(words):
+        ad = [[(m, a) for m, a in enumerate(row) if a] for row in frame.ad(w)]
+        for j, col in enumerate(cols):
+            # exp(-t ad Y) col = sum_k (-t)^k / k! (ad Y)^k col
+            out: dict[tuple[int, ...], list[Fraction]] = {}
+            for texp, v in col.items():
+                k = 0
+                while any(v):
+                    if k == N:
+                        return None  # (ad Y)^N v != 0: ad Y is not nilpotent
+                    c = Fraction((-1) ** k, math.factorial(k))
+                    e = texp[:slot] + (texp[slot] + k,) + texp[slot + 1:]
+                    acc = out.setdefault(e, [Fraction(0)] * N)
+                    for r, x in enumerate(v):
+                        if x:
+                            acc[r] += c * x
+                    v = [sum((a * v[m] for m, a in row), Fraction(0)) for row in ad]
+                    k += 1
+            cols[j] = out
+        cols.append({(0,) * n: list(frame.basis.coords[w])})
+    pad = (0,) * n
+    C = [[RatPoly(nv, {pad + e: v[r] for e, v in col.items()}) for col in cols]
+         for r in range(N)]
+    total = RatPoly.zero(nv)
+    for S, minor in frame.minors:
+        det_c = PolyMatrix.from_rows([C[r] for r in S]).det()
+        if det_c.is_zero():
+            continue
+        if minor.is_constant():
+            total = total + det_c * minor.constant_value()
+        else:
+            total = total + det_c * minor.compose(state)
+    return total
 
 
 def psi_words(n: int, start: int = 1) -> tuple[Word, ...]:

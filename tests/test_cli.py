@@ -226,6 +226,22 @@ class TestContracts:
         assert code == 2
         assert f"{path}: expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, path", [
+        ("beta", "010", "beta"),
+        ("alpha", [True, "1"], "alpha[0]"),
+        ("domain", {"lo": [False, 0, 0], "hi": [1, 1, 1]}, "domain.lo[0]"),
+        ("domain", {"lo": "000", "hi": [1, 1, 1]}, "domain.lo"),
+    ])
+    def test_scene_misshapen_field_is_named(self, scene_file, tmp_path, key,
+                                            value, path, capsys):
+        data = json.loads(Path(scene_file).read_text())
+        data[key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data))
+        code = main(["torsion", "--scene", str(p)])
+        assert code == 2
+        assert f"{path}: expected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bands", ["3", "a:b", "-6:2:1", "2:-6"])
     def test_verify_bad_bands_exit_2(self, scene_file, bands, capsys):
         code = main(["verify", "scales", "--scene", scene_file, f"--bands={bands}"])
@@ -246,6 +262,21 @@ class TestContracts:
                          "--out", str(path)])
             assert code == 0
             outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("extra", [[], ["--reversed"]])
+    def test_torsion_report_does_not_depend_on_cap(self, tmp_path, extra):
+        # psi flows letters only, so a cap below the nilpotency step (which
+        # sends the Jacobian through the Bareiss fallback) changes nothing
+        scene = moment_curve_scene(3)
+        scene.cap = 2
+        path = tmp_path / "cap2.json"
+        path.write_text(json.dumps(scene.to_json_dict()))
+        outs = []
+        for src in (str(path), "builtin:moment3"):
+            out = tmp_path / f"report{len(outs)}.json"
+            assert main(["torsion", "--scene", src, *extra, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
     def test_thread_env_does_not_change_bytes(self, scene_file, tmp_path,

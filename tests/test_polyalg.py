@@ -296,6 +296,17 @@ class TestMonomialize:
             assert cover.diagnostics["uncertified_pieces"] == 0
             assert cover.verify_samples(dense, 64), polys
 
+    @pytest.mark.parametrize("inv_eps", [10, 20, 40])
+    def test_piece_count_grows_like_one_over_eps(self, inv_eps):
+        # an exponent-0 piece centred at c certifies a length of about
+        # eps * dist(c, root), so each of the 4 sides of the two simple roots
+        # of t^2 - 1 takes about (1/eps) ln(1/eps^2) pieces to cross the
+        # annulus [2 eps, 2/eps]: the 1/eps growth belongs to eps-domination
+        t = RatPoly.variable(1, 0)
+        pieces = len(monomialize([t ** 2 - 1], F(1, inv_eps)).pieces)
+        predicted = 4 * inv_eps * math.log(inv_eps ** 2)
+        assert 0.85 * predicted <= pieces <= 1.05 * predicted
+
     def test_pieces_cover_line(self):
         cover = monomialize([RatPoly.variable(1, 0) ** 2 - 1], F(1, 10))
         pieces = sorted(cover.pieces, key=lambda p: (p.lo is not None, p.lo or 0))

@@ -185,6 +185,13 @@ class TestDivexact:
         x, y = RatPoly.variables(2)
         with pytest.raises(ExactDivisionError):
             (x * x + y).divexact(x + 1)
+        with pytest.raises(ExactDivisionError):  # a monomial divisor
+            (x * x + y).divexact(x * 3)
+
+    def test_monomial_divisor(self):
+        x, y = RatPoly.variables(2)
+        assert (x * x * y * 6 + x * y * 4).divexact(x * y * 2) == x * 3 + 2
+        assert (x + y).divexact(RatPoly.const(2, Fraction(1, 2))) == x * 2 + y * 2
 
 
 class TestSerialization:

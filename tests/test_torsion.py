@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from torsionlab import torsion
 from torsionlab.geometry import build_word_table, hodge_star_field
-from torsionlab.polycore import RatPoly
-from torsionlab.scenes import curve_maps, power2d_scene
+from torsionlab.nilpotent import basis_frame
+from torsionlab.polycore import PolyMatrix, RatPoly
+from torsionlab.scenes import builtin_scene, curve_maps, moment_curve_scene, power2d_scene
 from torsionlab.torsion import (
     NonConstantJacobian,
     all_jacobian_derivatives,
@@ -18,6 +20,7 @@ from torsionlab.torsion import (
     jacobian_derivative,
     psi_flow,
     psi_tilde_flow,
+    psi_words,
     torsion_profile,
     weight_transform,
 )
@@ -50,8 +53,6 @@ class TestIterFlow:
 
     def test_jacobian_at_zero_is_frame_determinant(self, moment3):
         # det D_t Phi^I_x(0) = +- det(X_{w_1}(x), ..., X_{w_n}(x)) exactly
-        from torsionlab.polycore import PolyMatrix
-
         table = moment3["table"]
         n = table.dim
         for words in [((1,), (2,), (1, 2), (1, 1, 2)),
@@ -65,6 +66,124 @@ class TestIterFlow:
                  for i in range(n)]
             ).det()
             assert at0 == frame or at0 == -frame
+
+
+def _bareiss_jac_det(flow):
+    """det d(map)/dt by one Bareiss determinant over all 2n variables."""
+    return PolyMatrix.jacobian(flow.map, flow.time_vars()).det()
+
+
+@pytest.fixture()
+def route_log(monkeypatch):
+    """Record, per uncached iter_flow call, whether the adjoint route served
+    it (True) or declined so that the Bareiss fallback ran (False)."""
+    log = []
+    route = torsion.adjoint_jac_det
+
+    def spy(*args):
+        out = route(*args)
+        log.append(out is not None)
+        return out
+
+    monkeypatch.setattr(torsion, "adjoint_jac_det", spy)
+    return log
+
+
+def _moment_table(d, cap=None):
+    scene = moment_curve_scene(d)
+    if cap is not None:
+        scene.cap = cap
+    return scene.word_table()
+
+
+def _seeded_curve_table(seed):
+    rng = random.Random(seed)
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    pi1, pi2 = curve_maps([[0, 1, coef()], [0, 0, coef(), coef()]])
+    return build_word_table(hodge_star_field(pi1), hodge_star_field(pi2), 6)
+
+
+class TestAdjointRoute:
+    """iter_flow's jac_det through word coordinates equals the Bareiss
+    determinant of the composed map's time Jacobian."""
+
+    @pytest.mark.parametrize("name", ["moment2", "moment3", "power2d_k2",
+                                      "power2d_k3", "moment4"])
+    @pytest.mark.parametrize("start", [1, 2])
+    def test_psi_maps(self, name, start, route_log):
+        table = (_moment_table(4) if name == "moment4"
+                 else builtin_scene(name).word_table())
+        flow = iter_flow(table, psi_words(table.dim, start))
+        assert route_log == [True]
+        assert flow.jac_det == _bareiss_jac_det(flow)
+
+    def test_psi_tilde_moment5(self, route_log):
+        flow = psi_tilde_flow(_moment_table(5))
+        assert route_log == [True]
+        assert flow.jac_det == _bareiss_jac_det(flow)
+
+    @pytest.mark.parametrize("scene", ["curve0", "curve1", "sheared"])
+    def test_more_basis_fields_than_dimensions(self, scene, route_log):
+        from test_polytope import sheared_scene
+
+        table = (sheared_scene().word_table() if scene == "sheared"
+                 else _seeded_curve_table(int(scene[-1])))
+        frame = basis_frame(table)
+        assert len(frame.basis.words) > table.dim
+        assert any(not minor.is_constant() for _, minor in frame.minors)
+        for start in (1, 2):
+            flow = iter_flow(table, psi_words(table.dim, start))
+            assert flow.jac_det == _bareiss_jac_det(flow)
+        assert route_log == [True, True]
+
+    @pytest.mark.parametrize("d, words, degree", [
+        (2, ((1,), (2,), (1, 2)), 0),
+        (2, ((1,), (2, 1), (2,)), 0),
+        (2, ((2, 1), (1, 2), (2,)), -1),          # proportional words
+        (2, ((1,), (1,), (2,)), -1),              # repeated word
+        (2, ((1,), (2,), (1, 1)), -1),            # vanished word
+        (3, ((1,), (2,), (1, 2), (1, 1, 2)), 0),
+        (3, ((2,), (1,), (1, 2), (2, 1, 2)), 0),
+        (3, ((1, 2), (2,), (1, 2), (1,)), 1),     # repeated word
+        (3, ((1,), (2,), (1,), (1, 2)), 2),
+        (3, ((2,), (1, 2), (1,), (2,)), 2),
+        (3, ((1,), (2,), (2, 1, 2), (1,)), 1),
+        (3, ((1,), (2, 2), (2,), (1, 2)), -1),    # vanished word
+    ])
+    def test_word_tuples(self, d, words, degree, route_log):
+        flow = iter_flow(_moment_table(d), words)
+        assert route_log == [True]
+        assert flow.jac_det == _bareiss_jac_det(flow)
+        assert flow.jac_det.total_degree() == degree
+
+    def test_declines_when_an_ad_series_does_not_terminate(self):
+        # X1 = x0 d/dx0, X2 = d/dx0: the span {X1, X2} is closed, but
+        # ad X1 (X2) = -X2, so exp(-t ad X1) X2 is no polynomial
+        from torsionlab.geometry import PolyVectorField
+
+        x0 = RatPoly.variable(2, 0)
+        zero, one = RatPoly.zero(2), RatPoly.const(2, 1)
+        table = build_word_table(PolyVectorField((x0, zero)),
+                                 PolyVectorField((one, zero)), 3)
+        assert basis_frame(table).letter_ad is not None
+        state = RatPoly.variables(4)[:2]
+        assert torsion.adjoint_jac_det(table, ((2,), (1,)), state) is None
+        assert torsion.adjoint_jac_det(table, ((1,), (2,)), state) is not None
+
+    @pytest.mark.parametrize("d, cap", [(3, 2), (4, 3)])
+    def test_truncated_cap_takes_the_fallback(self, d, cap, route_log):
+        table = _moment_table(d, cap)
+        assert basis_frame(table).letter_ad is None
+        for start in (1, 2):
+            flow = iter_flow(table, psi_words(table.dim, start))
+            assert flow.jac_det == _bareiss_jac_det(flow)
+        assert route_log == [False, False]
+        # the truncated table gives the same polynomial as the full one
+        full = psi_flow(_moment_table(d))
+        assert psi_flow(table).jac_det == full.jac_det
 
 
 class TestJacobianDerivative:
