@@ -311,7 +311,8 @@ class RatPoly:
             raise ZeroDivisionError("division by zero polynomial")
         d_exp, d_c = divisor.leading()
         if len(divisor.terms) == 1:
-            # a monomial divides term by term
+            # a monomial divides term by term; almost every Bareiss
+            # division in det is by one, mostly the constant 1
             out = {}
             for exp, c in self.terms.items():
                 q_exp = tuple(a - b for a, b in zip(exp, d_exp))
