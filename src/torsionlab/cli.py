@@ -24,7 +24,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .geometry import NonTerminatingSeries, NotNilpotentWithinCap, build_word_table
+from .geometry import (
+    NonTerminatingSeries,
+    NotNilpotentWithinCap,
+    build_word_table,
+    nilpotency_step,
+)
 from .polycore import RatPoly
 from .polytope import TupleBudgetExceeded
 from .scenes import (
@@ -81,6 +86,22 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
         raise CliError(f"bad {what}: {text!r} (expected comma-separated rationals)")
 
 
+def _parse_eps(text: str) -> Fraction:
+    """--eps as a rational in (0, 1), rounded to denominator at most 10^6."""
+    bad = CliError(f"bad --eps: {text!r} (expected a rational in (0, 1))")
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise bad from None
+    if not 0 < eps < 1:
+        raise bad
+    rounded = eps.limit_denominator(10**6)
+    if not 0 < rounded < 1:
+        raise CliError(f"bad --eps: {text!r} rounds to {rounded} at denominator "
+                       f"at most 10^6 (expected a value in (0, 1))")
+    return rounded
+
+
 def _parse_bands(text: str) -> range:
     bad = CliError(f"bad --bands: {text!r} (expected M0:M1, integers with M0 <= M1)")
     try:
@@ -114,8 +135,6 @@ def cmd_fields(args) -> int:
     table = build_word_table(x1, x2, cap)
     summary = table.summary()
     try:
-        from .geometry import nilpotency_step
-
         summary["certified_step"] = nilpotency_step(table)
     except NotNilpotentWithinCap as e:
         summary["certified_step"] = None
@@ -142,6 +161,7 @@ def cmd_polytope(args) -> int:
 
     scene = _scene_from_args(args)
     table = scene.word_table()
+    nilpotency_step(table)
     entries = lambda_table(table)
     poly = newton_polytope(entries, "union")
     report = {
@@ -177,6 +197,7 @@ def cmd_ccball(args) -> int:
 
     scene = _scene_from_args(args)
     table = scene.word_table()
+    nilpotency_step(table)
     if args.seed is None:
         args.seed = scene.seed
     if args.samples is None:
@@ -191,8 +212,6 @@ def cmd_ccball(args) -> int:
                 alpha=tuple(Fraction(a) for a in raw["alpha"]),
             )
         else:
-            from .polytope import newton_polytope
-
             entries = lambda_table(table)
             if not entries:
                 raise CliError("no nonzero lambda classes; supply --spec")
@@ -231,7 +250,6 @@ def cmd_ccball(args) -> int:
 
 
 def cmd_malcev(args) -> int:
-    from .geometry import nilpotency_step
     from .nilpotent import (
         SingularAtOrigin,
         abstract_algebra,
@@ -281,10 +299,11 @@ def cmd_polyalg(args) -> int:
     if getattr(args, option) is None:
         raise CliError(f"polyalg {args.algorithm} needs --{option}")
     if args.algorithm == "monomialize":
+        eps = _parse_eps(args.eps)
         with open(args.poly) as fh:
             data = json.load(fh)
         polys = [RatPoly.from_json_dict(p) for p in (data if isinstance(data, list) else [data])]
-        cover = pa.monomialize(polys, Fraction(args.eps).limit_denominator(10**6))
+        cover = pa.monomialize(polys, eps)
         report = {
             "eps": str(cover.eps),
             "pieces": [
@@ -490,12 +509,13 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-        print(f"error: malformed input: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # before ValueError, of which NotNilpotentWithinCap is a subclass
     except (NonTerminatingSeries, NotNilpotentWithinCap, TupleBudgetExceeded) as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+        print(f"error: malformed input: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

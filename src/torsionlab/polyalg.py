@@ -613,16 +613,50 @@ def _vector_taylor_sq(comps: list[list[Fraction]], b: Fraction) -> list[Fraction
     return out
 
 
-def _piece_exponents(sqs: Sequence[list[Fraction]], lo: Fraction | None,
+def _integer_group(comps: list[list[Fraction]]) -> list[list[int]]:
+    """The group's components times the lcm L of all their denominators."""
+    scale = math.lcm(*(c.denominator for p in comps for c in p))
+    return [[(c * scale).numerator for c in p] for p in comps]
+
+
+def _integer_taylor_sq(comps: list[list[int]], b: Fraction) -> list[int]:
+    """Squared Taylor magnitudes around b = u/v, times (L v^d)^2, as integers.
+
+    ``comps`` is an ``_integer_group`` and d its top degree.  Each Taylor
+    coefficient times L v^d is sum_i C(i,k) P_i u^(i-k) v^(d-i+k).  The
+    factor (L v^d)^2 is common to every k, and every domination comparison is
+    homogeneous in the squared magnitudes, so it cancels.
+    """
+    u, v = b.numerator, b.denominator
+    d = max(len(p) for p in comps) - 1
+    upow, vpow = [1], [1]
+    for _ in range(d):
+        upow.append(upow[-1] * u)
+        vpow.append(vpow[-1] * v)
+    out = [0] * (d + 1)
+    for p in comps:
+        for k in range(len(p)):
+            c = sum(math.comb(i, k) * p[i] * upow[i - k] * vpow[d - i + k]
+                    for i in range(k, len(p)))
+            out[k] += c * c
+    return out
+
+
+def _piece_exponents(sqs: Sequence[list[int]], lo: Fraction | None,
                      hi: Fraction | None, b: Fraction, eps: Fraction) -> tuple[int, ...] | None:
     """Dominant exponent per group if domination holds on the open piece, else None.
 
-    ``sqs`` holds each group's squared Taylor magnitudes around the center b:
-    one polynomial per group for scalar covers, all curve components in one
-    group for curves.  A piece that contains its center is rejected.  With the
+    ``sqs`` holds each group's squared Taylor magnitudes around the center b,
+    each list up to one positive factor (``_integer_taylor_sq``): one
+    polynomial per group for scalar covers, all curve components in one group
+    for curves.  A piece that contains its center is rejected.  With the
     center outside, each comparison against the dominant term is monotone in
     |t - b|, so testing the two distance extremes decides the whole piece
-    exactly; an unbounded side forces the top exponent.
+    exactly; an unbounded side forces the top exponent.  With eps = e_n/e_d,
+    d_near = p_n/q_n, d_far = p_f/q_f and m = |j - k|, term k is dominated by
+    term j when S[k] e_d^2 q_n^(2m) <= e_n^2 S[j] p_n^(2m) (k < j) or
+    S[k] e_d^2 p_f^(2m) <= e_n^2 S[j] q_f^(2m) (k > j): the comparisons are
+    cross-multiplied in integers.
     """
     if (lo is None or lo < b) and (hi is None or b < hi):
         return None
@@ -630,13 +664,15 @@ def _piece_exponents(sqs: Sequence[list[Fraction]], lo: Fraction | None,
         d_near, d_far = b - hi, None if lo is None else b - lo
     else:
         d_near, d_far = lo - b, None if hi is None else hi - b
-    eps2 = eps * eps
+    en2, ed2 = eps.numerator ** 2, eps.denominator ** 2
+    pn2, qn2 = d_near.numerator ** 2, d_near.denominator ** 2
+    pf2, qf2 = (0, 0) if d_far is None else (d_far.numerator ** 2, d_far.denominator ** 2)
     exps = []
     for sq in sqs:
         nz = [k for k, c in enumerate(sq) if c]
         k_star = next((j for j in nz if all(
-            sq[k] <= eps2 * sq[j] * d_near ** (2 * (j - k)) if k < j
-            else d_far is not None and sq[k] * d_far ** (2 * (k - j)) <= eps2 * sq[j]
+            sq[k] * ed2 * qn2 ** (j - k) <= en2 * sq[j] * pn2 ** (j - k) if k < j
+            else d_far is not None and sq[k] * ed2 * pf2 ** (k - j) <= en2 * sq[j] * qf2 ** (k - j)
             for k in nz if k != j)), None)
         if k_star is None:
             return None
@@ -733,9 +769,10 @@ def _sweep_cover(groups: list[list[list[Fraction]]], anchor_poly: list[Fraction]
     pieces: list[MonomialPiece] = []
     failures = 0
     warm = 0
+    int_groups = [_integer_group(g) for g in groups]
 
     def taylor(b: Fraction | None):
-        return None if b is None else (b, [_vector_taylor_sq(g, b) for g in groups])
+        return None if b is None else (b, [_integer_taylor_sq(g, b) for g in int_groups])
 
     for (_, lo, c_left), (right, gutter_end, c_right) in zip(bounds, bounds[1:]):
         left_center, right_center = taylor(c_left), taylor(c_right)
@@ -749,12 +786,18 @@ def _sweep_cover(groups: list[list[list[Fraction]]], anchor_poly: list[Fraction]
 
             hi, hit = right, exponents(right)
             if hit is None:
-                k = _last_true(lambda k: exponents(_grid_point(lo, right, k)) is not None, warm)
+                hits = {}
+
+                def ok(k):
+                    hits[k] = exponents(_grid_point(lo, right, k))
+                    return hits[k] is not None
+
+                k = _last_true(ok, warm)
                 if k is None:
                     failures += 1
                     k = _MIN_GRID_INDEX
                 warm, hi = k, _grid_point(lo, right, k)
-                hit = exponents(hi)
+                hit = hits[k] if k in hits else exponents(hi)
             pieces.append(MonomialPiece(lo, hi, *hit) if hit
                           else MonomialPiece(lo, hi, hi, (), certified=False))
             lo = hi
@@ -784,7 +827,11 @@ def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
     centers certifies: the left anchor, the piece's own left end or the right
     anchor.  Certification checks the domination inequality on the whole
     piece exactly; a step where no center certifies any width counts in
-    ``diagnostics["uncertified_pieces"]``.
+    ``diagnostics["uncertified_pieces"]``.  The comparisons are
+    cross-multiplied in integers: each center's squared Taylor magnitudes are
+    built as integers over one common denominator, and the squared numerators
+    and denominators of eps and of the piece's distances to the center
+    scale them (``_piece_exponents``).
 
     The predicate is eps-domination: on the whole piece, every Taylor term at
     the center is at most eps times one dominant term.  An exponent-0 piece

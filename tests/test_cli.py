@@ -163,6 +163,24 @@ class TestContracts:
         code = main(["fields", "--scene", str(p), "--cap", "2"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", [
+        ["polytope"], ["malcev"],
+        ["ccball", "--check", "cover"], ["ccball", "--check", "sample"],
+        ["ccball", "--check", "doubling"],
+    ])
+    @pytest.mark.parametrize("d, cap", [(3, 2), (4, 3)])
+    def test_truncated_word_table_exit_3(self, tmp_path, capsys, command, d, cap):
+        # a cap below the nilpotency step truncates the word table; lambda
+        # classes read off it would silently miss words
+        scene = moment_curve_scene(d)
+        scene.cap = cap
+        p = tmp_path / "cap.json"
+        p.write_text(json.dumps(scene.to_json_dict()))
+        code = main([*command, "--scene", str(p)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"inconclusive: nonzero bracket words of length {cap} at cap {cap}\n"
+
     def test_polytope_over_tuple_budget_exit_3(self, tmp_path, capsys):
         # moment5 has 32 words in dimension 6: C(32, 6) = 906192 tuples
         p = tmp_path / "moment5.json"
@@ -318,6 +336,10 @@ class TestContracts:
         (["torsion", "--scene", "builtin:moment2", "--beta", "a"], "--beta"),
         (["torsion", "--scene", "builtin:moment2", "--beta=-1,0,0"], "--beta"),
         (["torsion", "--scene", "builtin:moment2", "--beta", "0,,1"], "--beta"),
+        # --eps is checked before --poly is read; the last two lie in (0, 1)
+        # but round to 0 and 1 at denominator 10^6
+        *((["polyalg", "monomialize", "--poly", "unread.json", "--eps", eps], "--eps")
+          for eps in ("nan", "inf", "abc", "1/0", "-0.5", "1", "0.0000001", "0.9999999")),
     ])
     def test_missing_or_bad_option_is_named(self, args, option, capsys):
         code = main(args)

@@ -389,6 +389,97 @@ class TestCurveMonomialize:
         assert not cover.verify_samples(gamma, 16)
 
 
+def _fraction_piece_exponents(sqs, lo, hi, b, eps):
+    """The domination test in Fraction arithmetic, the reference for the integer one."""
+    if (lo is None or lo < b) and (hi is None or b < hi):
+        return None
+    if hi is not None and hi <= b:
+        d_near, d_far = b - hi, None if lo is None else b - lo
+    else:
+        d_near, d_far = lo - b, None if hi is None else hi - b
+    eps2 = eps * eps
+    exps = []
+    for sq in sqs:
+        nz = [k for k, c in enumerate(sq) if c]
+        k_star = next((j for j in nz if all(
+            sq[k] <= eps2 * sq[j] * d_near ** (2 * (j - k)) if k < j
+            else d_far is not None and sq[k] * d_far ** (2 * (k - j)) <= eps2 * sq[j]
+            for k in nz if k != j)), None)
+        if k_star is None:
+            return None
+        exps.append(k_star)
+    return tuple(exps)
+
+
+class TestIntegerPredicate:
+    """The sweep's integer domination test against the Fraction reference."""
+
+    @staticmethod
+    def _poly(rng, max_deg):
+        p = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(1, max_deg + 1))]
+        if rng.random() < 0.3:
+            p[0] = F(0)          # a root at 0, a center the cases use often
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def _groups(self, rng):
+        if rng.random() < 0.5:   # scalar cover: one polynomial per group
+            polys = [self._poly(rng, 4) or [F(1)] for _ in range(rng.randint(1, 3))]
+            return [[p] for p in polys]
+        comps = [self._poly(rng, 4) for _ in range(rng.randint(2, 3))]
+        return [comps if any(comps) else comps + [[F(0), F(1)]]]
+
+    @staticmethod
+    def _piece(rng, b):
+        """(lo, hi) with b outside, at a distance d_near >= 0 that may be 0."""
+        scale = F(2) ** rng.randint(-8, 4)
+        d_near = rng.choice([F(0), scale, scale * F(rng.randint(1, 15), 8)])
+        width = None if rng.random() < 0.2 else scale * F(rng.randint(1, 40), 8)
+        if rng.random() < 0.5:
+            return b + d_near, None if width is None else b + d_near + width
+        return None if width is None else b - d_near - width, b - d_near
+
+    def test_matches_fraction_reference(self):
+        from torsionlab.polyalg import (
+            _anchors,
+            _integer_group,
+            _integer_taylor_sq,
+            _piece_exponents,
+            _vector_taylor_sq,
+        )
+
+        rng = random.Random(7)
+        # gutter centers beside the irrational roots of t^2 - 2 and t^3 - 3t + 1
+        gutters = [c for poly in ([F(-2), F(0), F(1)], [F(1), F(-3), F(0), F(1)])
+                   for a, b, c in _anchors(poly, F(1, 10)) if a != b]
+        assert len(gutters) == 5 and all(c.denominator > 2 ** 40 for c in gutters)
+        outcomes = {}
+        for case in range(1500):
+            groups = self._groups(rng)
+            b = rng.choice([F(0), F(rng.randint(-20, 20), rng.randint(1, 8)),
+                            rng.choice(gutters)])
+            eps = rng.choice([F(1, 10), F(1, 3), F(2, 7), F(99, 100)])
+            frac_sqs = [_vector_taylor_sq(g, b) for g in groups]
+            int_sqs = []
+            for g in groups:
+                ints = _integer_taylor_sq(_integer_group(g), b)
+                scale = math.lcm(*(c.denominator for p in g for c in p))
+                scale *= b.denominator ** (max(len(p) for p in g) - 1)
+                assert ints == [scale * scale * s for s in frac_sqs[len(int_sqs)]]
+                int_sqs.append(ints)
+            for _ in range(4):
+                lo, hi = self._piece(rng, b)
+                want = _fraction_piece_exponents(frac_sqs, lo, hi, b, eps)
+                assert _piece_exponents(int_sqs, lo, hi, b, eps) == want, (groups, b, lo, hi, eps)
+                kind = (len(groups[0]) > 1, lo is None or hi is None,
+                        b in (lo, hi), b.denominator > 2 ** 40)
+                outcomes.setdefault(kind, set()).add(want)
+        # every kind of case occurs, and each decides both ways
+        assert len(outcomes) == 16
+        assert all(None in seen and len(seen) > 1 for seen in outcomes.values())
+
+
 class TestTangencyScan:
     def test_parabola_geometric_times(self):
         t = RatPoly.variable(1, 0)
