@@ -229,6 +229,8 @@ def cmd_ccball(args) -> int:
     if args.check == "doubling":
         x1 = _parse_vector(args.x1 or ",".join(["0"] * scene.dim), "--x1")
         x2 = _parse_vector(args.x2 or ",".join(["0"] * scene.dim), "--x2")
+        if not entries:
+            raise CliError("no nonzero lambda classes; supply --spec")
         words = entries[0].words
         report = doubling_check(
             table, entries, x1, x2, words, words,
@@ -277,7 +279,7 @@ def cmd_malcev(args) -> int:
     report["group_law_q"] = [q.to_json_dict() for q in gl.q]
     report["group_law_r"] = [r.to_json_dict() for r in gl.r]
     try:
-        cm = covering_map(table, x0, step)
+        cm = covering_map(basis, x0)
         report["covering_map"] = [m.to_json_dict() for m in cm.map]
         report["covering_jacobian_at_0"] = str(cm.jacobian_det_at_origin)
         report["covering_diagnostics"] = {

@@ -64,10 +64,6 @@ class PolyMap:
     def source_dim(self) -> int:
         return self.components[0].nvars
 
-    @property
-    def target_dim(self) -> int:
-        return len(self.components)
-
     def eval(self, point: Sequence) -> list[Fraction]:
         return [c.eval(point) for c in self.components]
 

@@ -1,21 +1,23 @@
-"""Abstract nilpotent layer: structure constants, BCH, Malcev coordinates.
+"""Abstract nilpotent layer: structure constants, Malcev coordinates, group law.
 
 The concrete bracket fields of a WordTable span a finite-dimensional Lie
 algebra over Q.  This module extracts a basis by exact linear algebra on
 coefficient vectors, expresses every bracket in that basis, and then works
-abstractly: truncated Baker-Campbell-Hausdorff products, weak Malcev bases
-through a prescribed subalgebra, the polynomial group law in Malcev
-coordinates, and the covering map built from flows at a base point.
+abstractly: weak Malcev bases through a prescribed subalgebra, the
+polynomial group law in Malcev coordinates, and the covering map built from
+flows at a base point.
 
 All exact linear algebra over Q lives here.  ``Span`` is the one answer to
 "coordinates in, or defect from, the span of these vectors", for word
-coordinates, Malcev structure constants and the normalizer chain.  Flows are
+coordinates, Malcev structure constants and the normalizer chain.
+``exp_neg_ad`` is the one exp(-s ad A) series, for the torsion Jacobian's
+pushforward columns and the group law's Maurer-Cartan matrix.  Flows are
 composed by ``geometry.compose_flow``; Jacobians are ``PolyMatrix.jacobian``.
 
-Convention tying the abstract product to concrete flows: bch(U, V) is the
-element whose time-1 flow equals (flow V at time 1) composed after (flow U at
-time 1), i.e. flowing U first.  Tests pin this as an exact polynomial
-identity.
+Convention tying the group law to concrete flows: let Phi_x flow e_0 for time
+x_0 first, then e_1, and so on, and let X(v) be the field of sum_i v_i e_i.
+Then Phi_{r(x1, x2)} = e^(X(x2)) o Phi_{x1} and Phi_{q(x1, x2)} = Phi_{x1} o
+e^(X(x2)).  Tests pin both as exact polynomial identities.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .geometry import (
@@ -182,21 +183,18 @@ class AbstractNilpotent:
             return self.struct[(i, j)]
         return tuple(-c for c in self.struct[(j, i)])
 
-    def bracket_vec(self, u: Sequence, v: Sequence, zero=None):
-        """Bilinear bracket of coefficient vectors; scalars may be Fractions
-        or RatPolys (anything supporting + and *)."""
-        if zero is None:
-            zero = Fraction(0)
-        out = [zero] * self.dim
+    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+        """Bilinear bracket of rational coefficient vectors."""
+        out = [Fraction(0)] * self.dim
         for i, ui in enumerate(u):
-            if _scalar_zero(ui):
+            if ui == 0:
                 continue
             for j, vj in enumerate(v):
-                if _scalar_zero(vj):
+                if vj == 0:
                     continue
                 for k, ck in enumerate(self.bracket_basis(i, j)):
                     if ck != 0:
-                        out[k] = out[k] + ui * vj * ck
+                        out[k] += ui * vj * ck
         return out
 
     def element_field(self, coeffs: Sequence[Fraction]) -> PolyVectorField:
@@ -208,23 +206,6 @@ class AbstractNilpotent:
                 acc = acc + f.scale(c)
         return acc
 
-    def bch(self, u: Sequence, v: Sequence, zero=None):
-        """BCH product of coefficient vectors, exact: the Dynkin series
-        truncated at the nilpotency step."""
-        if zero is None:
-            zero = Fraction(0)
-        out = [zero] * self.dim
-        for word, coeff in _dynkin_terms(self.step):
-            val = list(u) if word[-1] == 0 else list(v)
-            for letter in reversed(word[:-1]):
-                val = self.bracket_vec(u if letter == 0 else v, val, zero=zero)
-                if all(_scalar_zero(x) for x in val):
-                    break
-            for k in range(self.dim):
-                if not _scalar_zero(val[k]):
-                    out[k] = out[k] + val[k] * coeff
-        return out
-
     def jacobi_defect(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
         """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]; zero when Jacobi holds."""
         e = lambda idx: [Fraction(1 if t == idx else 0) for t in range(self.dim)]
@@ -232,54 +213,6 @@ class AbstractNilpotent:
         b = self.bracket_vec(e(j), self.bracket_vec(e(k), e(i)))
         c = self.bracket_vec(e(k), self.bracket_vec(e(i), e(j)))
         return tuple(x + y + z for x, y, z in zip(a, b, c))
-
-
-def _scalar_zero(x) -> bool:
-    if isinstance(x, RatPoly):
-        return x.is_zero()
-    return x == 0
-
-
-@lru_cache(maxsize=None)
-def _dynkin_terms(step: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    """Dynkin expansion of log(e^x e^y) through total degree ``step``.
-
-    Terms are (letter word, rational coefficient) with 0 for x and 1 for y;
-    the word encodes the right-nested bracket [w1,[w2,[...,wm]]].  Words whose
-    two innermost letters agree are dropped (the bracket vanishes).
-    """
-    collected: dict[tuple[int, ...], Fraction] = {}
-
-    def pair_blocks(k: int, remaining: int, prefix: list[tuple[int, int]]):
-        if k == 0:
-            if prefix:
-                total = sum(p + q for p, q in prefix)
-                denom = total
-                for p, q in prefix:
-                    denom *= math.factorial(p) * math.factorial(q)
-                kk = len(prefix)
-                coeff = Fraction((-1) ** (kk - 1), kk) * Fraction(1, denom)
-                word = []
-                for p, q in prefix:
-                    word.extend([0] * p)
-                    word.extend([1] * q)
-                w = tuple(word)
-                if len(w) >= 2 and w[-1] == w[-2]:
-                    return  # innermost bracket [a,a] = 0
-                collected[w] = collected.get(w, Fraction(0)) + coeff
-            return
-        for p in range(remaining + 1):
-            for q in range(remaining - p + 1):
-                if p == 0 and q == 0:
-                    continue
-                pair_blocks(k - 1, remaining - p - q, prefix + [(p, q)])
-
-    for k in range(1, step + 1):
-        pair_blocks(k, step, [])
-    return tuple(sorted(
-        ((w, c) for w, c in collected.items() if c != 0),
-        key=lambda t: (len(t[0]), t[0]),
-    ))
 
 
 @dataclass(frozen=True)
@@ -325,6 +258,33 @@ def word_basis(table: WordTable) -> WordBasis:
         index=index,
         span=span,
     )
+
+
+def exp_neg_ad(ad: list[list[Fraction]], col: dict[tuple[int, ...], list[Fraction]],
+               var: int, limit: int) -> dict[tuple[int, ...], list[Fraction]] | None:
+    """exp(-s ad A) applied to a polynomial column of coordinate vectors.
+
+    ``col`` maps exponent tuples to coordinate vectors, s is the variable at
+    slot ``var`` of those tuples and ``ad`` is the matrix of ad A.  Each
+    vector v contributes sum_k (-s)^k / k! (ad A)^k v, up to its first zero
+    term.  Returns None when (ad A)^limit v is still nonzero.
+    """
+    ad = [[(m, a) for m, a in enumerate(row) if a] for row in ad]
+    out: dict[tuple[int, ...], list[Fraction]] = {}
+    for e, v in col.items():
+        k = 0
+        while any(v):
+            if k == limit:
+                return None
+            c = Fraction((-1) ** k, math.factorial(k))
+            ek = e[:var] + (e[var] + k,) + e[var + 1:]
+            acc = out.setdefault(ek, [Fraction(0)] * len(v))
+            for r, x in enumerate(v):
+                if x:
+                    acc[r] += c * x
+            v = [sum((a * v[m] for m, a in row), Fraction(0)) for row in ad]
+            k += 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -538,37 +498,53 @@ def _malcev_struct(basis: MalcevBasis) -> AbstractNilpotent:
 
 
 def group_law(basis: MalcevBasis) -> GroupLaw:
-    """Exact group law from truncated BCH algebra plus triangular peeling."""
+    """Exact group law from the Maurer-Cartan matrix of the chart psi.
+
+    psi(x) = exp(x_0 e_0) ... exp(x_(N-1) e_(N-1)) has psi^-1 dpsi = C(x) dx,
+    where column j of C(x) is exp(-x_(N-1) ad e_(N-1)) ... exp(-x_(j+1) ad
+    e_(j+1)) e_j.  Every tail span is an ideal of the one before it, so C is
+    unipotent lower triangular and C^-1 is a forward substitution.  r is the
+    time-1 flow in x1 of C(x1)^-1 x2, and q that of C(x1)^-1 Ad(psi(x1)^-1) x2,
+    with Ad(psi(x)^-1) = exp(-x_(N-1) ad e_(N-1)) ... exp(-x_0 ad e_0); both
+    flows hold x2 constant and terminate because the law is polynomial.
+    """
     alg = _malcev_struct(basis)
     N = alg.dim
     nv = 2 * N
-    zero = RatPoly.zero(nv)
-    x1 = [RatPoly.variable(nv, i) for i in range(N)]
-    x2 = [RatPoly.variable(nv, N + i) for i in range(N)]
+    ads = [[list(row) for row in zip(*(alg.bracket_basis(i, k) for k in range(N)))]
+           for i in range(N)]
+    xs = RatPoly.variables(nv)
+    one = RatPoly.const(nv, 1)
 
-    def basis_vec(i: int, scale: RatPoly) -> list[RatPoly]:
-        return [scale if k == i else zero for k in range(N)]
+    def unit(i: int, dim: int) -> tuple[int, ...]:
+        return tuple(int(k == i) for k in range(dim))
 
-    def log_psi(coords: list[RatPoly]) -> list[RatPoly]:
-        acc = basis_vec(0, coords[0])
-        for i in range(1, N):
-            acc = alg.bch(acc, basis_vec(i, coords[i]), zero=zero)
-        return acc
+    def exp_neg_ads(col, order) -> list[RatPoly]:
+        """exp(-x_i ad e_i) for i in ``order`` applied in turn, as RatPolys."""
+        for i in order:
+            col = exp_neg_ad(ads[i], col, i, N)
+            if col is None:
+                raise ArithmeticError(f"ad e_{i} is not nilpotent; algebra data bad")
+        return [RatPoly(nv, {e: v[r] for e, v in col.items()}) for r in range(N)]
 
-    def peel(z: list[RatPoly]) -> list[RatPoly]:
-        out = []
-        for i in range(N):
-            out.append(z[i])
-            z = alg.bch(basis_vec(i, -z[i]), z, zero=zero)
-        return out
+    C = [exp_neg_ads({(0,) * nv: unit(j, N)}, range(j + 1, N)) for j in range(N)]
+    if any(C[j][j] != one or any(not C[j][r].is_zero() for r in range(j))
+           for j in range(N)):
+        raise ArithmeticError(
+            "Maurer-Cartan matrix is not unipotent lower triangular; algebra data bad")
 
-    L1 = log_psi(x1)
-    x2_elt = list(x2)
-    q = peel(alg.bch(x2_elt, L1, zero=zero))
-    r = peel(alg.bch(L1, x2_elt, zero=zero))
+    def time1_flow(b: list[RatPoly]) -> list[RatPoly]:
+        y: list[RatPoly] = []
+        for r in range(N):  # C y = b
+            y.append(b[r] - sum((C[j][r] * y[j] for j in range(r)), RatPoly.zero(nv)))
+        field = PolyVectorField(tuple(y) + (RatPoly.zero(nv),) * N)
+        return compose_flow(lie_series_flow(field), one, xs)[:N]
+
+    r = time1_flow(xs[N:])
+    q = time1_flow(exp_neg_ads({unit(N + i, nv): unit(i, N) for i in range(N)}, range(N)))
 
     for name, law in (("q", q), ("r", r)):
-        if not PolyMatrix.jacobian(law, range(N)).det() == RatPoly.const(nv, 1):
+        if not PolyMatrix.jacobian(law, range(N)).det() == one:
             raise ArithmeticError(
                 f"group law {name} is not volume preserving; algebra data bad")
     for i in range(N):
@@ -597,22 +573,20 @@ def isotropy_subalgebra(alg: AbstractNilpotent, x0: Sequence) -> list[list[Fract
     return _nullspace(rows, alg.dim)
 
 
-def covering_map(table: WordTable, x0: Sequence, step: int) -> CoveringMap:
+def covering_map(basis: MalcevBasis, x0: Sequence) -> CoveringMap:
     """Local polynomial-coordinates chart at a base point.
 
-    Builds the abstract algebra, computes the isotropy subalgebra at x0, runs
-    a weak Malcev basis through it, and composes the flows of the first n
-    basis elements.  Raises SingularAtOrigin when the fields cannot span.
+    ``basis`` is a weak Malcev basis through the isotropy subalgebra at x0;
+    the chart composes the flows of its first n elements.  Raises
+    SingularAtOrigin when the fields cannot span.
     """
-    alg = abstract_algebra(table, step)
-    n = table.dim
+    alg = basis.algebra
+    n = alg.basis_fields[0].dim
     x0 = [Fraction(v) for v in x0]
-    z = isotropy_subalgebra(alg, x0)
-    if alg.dim - len(z) != n:
+    if basis.split != n:
         raise SingularAtOrigin(
-            f"fields span a {alg.dim - len(z)}-dimensional space at x0, need {n}"
+            f"fields span a {basis.split}-dimensional space at x0, need {n}"
         )
-    basis = weak_malcev(alg, z)
     head = [alg.element_field(e) for e in basis.elements[:n]]
     state = [RatPoly.const(n, c) for c in x0]
     for i in reversed(range(n)):

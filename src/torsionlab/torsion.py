@@ -28,8 +28,9 @@ pushforward is
 
 with v_j the coordinates of Y_j.  This is the convention (phi_s)_* Y =
 exp(-s ad Z) Y for phi the flow of Z, with no further global sign.  Every
-series is finite because ad is nilpotent, so C(t) = [c_1 ... c_n] is an
-N x n polynomial matrix in t alone, and Cauchy-Binet gives
+series (``nilpotent.exp_neg_ad``) is finite because ad is nilpotent, so
+C(t) = [c_1 ... c_n] is an N x n polynomial matrix in t alone, and
+Cauchy-Binet gives
 
     det d Phi/dt = sum over n-subsets S of det C(t)[S, :] * (det E_S) o Phi.
 
@@ -48,7 +49,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geometry import Word, WordTable, compose_flow, lie_series_flow
-from .nilpotent import basis_frame
+from .nilpotent import basis_frame, exp_neg_ad
 from .polycore import PolyMatrix, RatPoly
 
 
@@ -138,24 +139,10 @@ def adjoint_jac_det(table: WordTable, words: Sequence[Word],
     # column j of C(t) as {t-exponent: coordinate vector}
     cols: list[dict[tuple[int, ...], list[Fraction]]] = []
     for slot, w in enumerate(words):
-        ad = [[(m, a) for m, a in enumerate(row) if a] for row in frame.ad(w)]
-        for j, col in enumerate(cols):
-            # exp(-t ad Y) col = sum_k (-t)^k / k! (ad Y)^k col
-            out: dict[tuple[int, ...], list[Fraction]] = {}
-            for texp, v in col.items():
-                k = 0
-                while any(v):
-                    if k == N:
-                        return None  # (ad Y)^N v != 0: ad Y is not nilpotent
-                    c = Fraction((-1) ** k, math.factorial(k))
-                    e = texp[:slot] + (texp[slot] + k,) + texp[slot + 1:]
-                    acc = out.setdefault(e, [Fraction(0)] * N)
-                    for r, x in enumerate(v):
-                        if x:
-                            acc[r] += c * x
-                    v = [sum((a * v[m] for m, a in row), Fraction(0)) for row in ad]
-                    k += 1
-            cols[j] = out
+        ad = frame.ad(w)
+        cols = [exp_neg_ad(ad, col, slot, N) for col in cols]
+        if None in cols:
+            return None  # (ad Y)^N v != 0: ad Y is not nilpotent
         cols.append({(0,) * n: list(frame.basis.coords[w])})
     pad = (0,) * n
     C = [[RatPoly(nv, {pad + e: v[r] for e, v in col.items()}) for col in cols]

@@ -136,7 +136,7 @@ def _random_curve_scene(rng):
     return curve_maps(coeffs)
 
 
-def test_criterion_4_exact_invariant_suite():
+def test_criterion_4_exact_invariant_suite(group_law_flows):
     start = time.monotonic()
     rng = random.Random(20240)
     checked = 0
@@ -167,19 +167,20 @@ def test_criterion_4_exact_invariant_suite():
         jac = PolyMatrix.from_rows(
             [[fm.map[i].partial(j) for j in range(n)] for i in range(n)])
         assert jac.det() == RatPoly.const(n + 1, 1)
-        # abstract layer: BCH associativity (exact at the certified step; the
-        # corpus draw keeps plenty of step <= 3 instances), Malcev group law
+        # abstract layer: the Malcev group law against concrete flows at one
+        # rational pair (the corpus draw keeps plenty of step <= 3 instances)
         table = build_word_table(X1, X2, 7)
         step = nilpotency_step(table)
         alg = abstract_algebra(table, step)
         if step <= 3:
             low_step_instances.append(step)
-        u = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(alg.dim)]
-        v = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(alg.dim)]
-        w = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(alg.dim)]
-        assert alg.bch(alg.bch(u, v), w) == alg.bch(u, alg.bch(v, w))
+        # three rational vectors per instance keep the corpus's draws; the
+        # pair is the first two
+        x1, x2, _ = ([F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(alg.dim)]
+                     for _ in range(3))
         basis = weak_malcev(alg, [])
         gl = group_law(basis)  # raises if det != 1 or triangularity fails
+        group_law_flows(basis, gl, x1, x2)
         N = alg.dim
         q_jac = PolyMatrix.from_rows(
             [[gl.q[i].partial(j) for j in range(N)] for i in range(N)])

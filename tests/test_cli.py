@@ -181,6 +181,23 @@ class TestContracts:
         err = capsys.readouterr().err
         assert err == f"inconclusive: nonzero bracket words of length {cap} at cap {cap}\n"
 
+    def test_no_lambda_classes(self, tmp_path, capsys):
+        # gamma(t) = (t, 2t) is a line, so no word tuple has a nonzero lambda;
+        # the checks that need a class exit 2 and cover counts no balls
+        from torsionlab.scenes import Scene, curve_maps
+
+        pi1, pi2 = curve_maps([[0, 1], [0, 2]])
+        p = tmp_path / "line.json"
+        p.write_text(json.dumps(Scene(pi1=pi1, pi2=pi2, cap=4).to_json_dict()))
+        code, report = run(["polytope", "--scene", str(p)], capsys)
+        assert (code, report["classes"]) == (0, [])
+        for check in ("sample", "doubling"):
+            assert main(["ccball", "--check", check, "--scene", str(p)]) == 2
+            assert capsys.readouterr().err == \
+                "error: no nonzero lambda classes; supply --spec\n"
+        code, report = run(["ccball", "--check", "cover", "--scene", str(p)], capsys)
+        assert (code, report["count"]) == (0, 0)
+
     def test_polytope_over_tuple_budget_exit_3(self, tmp_path, capsys):
         # moment5 has 32 words in dimension 6: C(32, 6) = 906192 tuples
         p = tmp_path / "moment5.json"

@@ -1,6 +1,12 @@
-"""Abstract algebra layer: structure constants, BCH, Malcev bases, group law."""
+"""Abstract algebra layer: structure constants, Malcev bases, group law.
 
+The Dynkin series for log(e^u e^v) lives here, not in the package, as an
+independent reference that the group law is checked against.
+"""
+
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -28,7 +34,7 @@ from torsionlab.nilpotent import (
     word_basis,
 )
 from torsionlab.polycore import RatPoly
-from torsionlab.scenes import power2d_scene
+from torsionlab.scenes import moment_curve_scene, power2d_scene
 
 
 def rational_vec(rng, dim, scale=3):
@@ -50,6 +56,67 @@ def spanning_set(rng, dim):
                   for _ in range(rng.randint(0, 3))] + [[Fraction(0)] * dim]
     rng.shuffle(vs)
     return vs
+
+
+@functools.lru_cache(maxsize=None)
+def dynkin_terms(step):
+    """Dynkin expansion of log(e^x e^y) through total degree ``step``.
+
+    Terms are (letter word, rational coefficient) with 0 for x and 1 for y;
+    the word encodes the right-nested bracket [w1,[w2,[...,wm]]].  Words whose
+    two innermost letters agree are dropped (the bracket vanishes).
+    """
+    collected = {}
+
+    def pair_blocks(k, remaining, prefix):
+        if k == 0:
+            if prefix:
+                denom = sum(p + q for p, q in prefix)
+                for p, q in prefix:
+                    denom *= math.factorial(p) * math.factorial(q)
+                kk = len(prefix)
+                coeff = Fraction((-1) ** (kk - 1), kk) * Fraction(1, denom)
+                w = tuple(a for p, q in prefix for a in [0] * p + [1] * q)
+                if len(w) >= 2 and w[-1] == w[-2]:
+                    return  # innermost bracket [a,a] = 0
+                collected[w] = collected.get(w, Fraction(0)) + coeff
+            return
+        for p in range(remaining + 1):
+            for q in range(remaining - p + 1):
+                if p or q:
+                    pair_blocks(k - 1, remaining - p - q, prefix + [(p, q)])
+
+    for k in range(1, step + 1):
+        pair_blocks(k, step, [])
+    return tuple((w, c) for w, c in collected.items() if c != 0)
+
+
+def bch(alg, u, v):
+    """log(e^u e^v) for rational coefficient vectors: the Dynkin series
+    truncated at the algebra's nilpotency step."""
+    out = [Fraction(0)] * alg.dim
+    for word, coeff in dynkin_terms(alg.step):
+        val = list(u) if word[-1] == 0 else list(v)
+        for letter in reversed(word[:-1]):
+            val = alg.bracket_vec(u if letter == 0 else v, val)
+        out = [a + coeff * b for a, b in zip(out, val)]
+    return out
+
+
+def malcev_at(table, x0, step):
+    """Weak Malcev basis through the isotropy subalgebra at x0."""
+    alg = abstract_algebra(table, step)
+    return weak_malcev(alg, isotropy_subalgebra(alg, x0))
+
+
+@functools.lru_cache(maxsize=None)
+def malcev_law(name, x0):
+    """Malcev basis through the isotropy at (x0, ..., x0) and its group law."""
+    scene = {"moment2": moment_curve_scene(2), "moment3": moment_curve_scene(3),
+             "power2d_k3": power2d_scene(3)}[name]
+    table = scene.word_table()
+    basis = malcev_at(table, [x0] * table.dim, nilpotency_step(table))
+    return basis, group_law(basis)
 
 
 class TestSpan:
@@ -169,7 +236,7 @@ class TestBCH:
         alg = abstract_algebra(table, 1)
         u = [Fraction(2), Fraction(1, 3)]
         v = [Fraction(-1), Fraction(5)]
-        assert alg.bch(u, v) == [u[0] + v[0], u[1] + v[1]]
+        assert bch(alg, u, v) == [u[0] + v[0], u[1] + v[1]]
 
     def test_step2_half_bracket(self, heis):
         u = [Fraction(1), Fraction(0), Fraction(0)]
@@ -184,14 +251,14 @@ class TestBCH:
             x = rational_vec(rng, alg.dim)
             y = rational_vec(rng, alg.dim)
             z = rational_vec(rng, alg.dim)
-            left = alg.bch(alg.bch(x, y), z)
-            right = alg.bch(x, alg.bch(y, z))
+            left = bch(alg, bch(alg, x, y), z)
+            right = bch(alg, x, bch(alg, y, z))
             assert left == right
 
     def test_inverse(self, heis):
         rng = random.Random(4)
         u = rational_vec(rng, heis.dim)
-        assert alg_is_zero(heis.bch(u, [-c for c in u]))
+        assert alg_is_zero(bch(heis, u, [-c for c in u]))
 
     def test_concrete_flow_consistency(self, moment3):
         """flow(bch(U, V)) at time 1 equals flow(V) after flow(U), exactly."""
@@ -206,7 +273,7 @@ class TestBCH:
             v = rational_vec(rng, alg.dim, scale=2)
             U = alg.element_field(u)
             V = alg.element_field(v)
-            W = alg.element_field(alg.bch(u, v))
+            W = alg.element_field(bch(alg, u, v))
             fU = lie_series_flow(U)
             fV = lie_series_flow(V)
             fW = lie_series_flow(W)
@@ -217,7 +284,7 @@ class TestBCH:
 
 
 def alg_bch_tuple(alg, u, v):
-    return tuple(alg.bch(u, v))
+    return tuple(bch(alg, u, v))
 
 
 def alg_is_zero(vec):
@@ -318,11 +385,41 @@ class TestGroupLaw:
             back = [q.eval(fwd + [-x for x in bv]) for q in gl.r]
             assert back == av
 
+    @pytest.mark.parametrize("name", ["moment2", "moment3", "power2d_k3"])
+    @pytest.mark.parametrize("x0", [0, Fraction(1, 3)])
+    def test_matches_concrete_flows(self, name, x0, group_law_flows):
+        basis, gl = malcev_law(name, x0)
+        rng = random.Random(17)
+        for _ in range(3):
+            group_law_flows(basis, gl, rational_vec(rng, basis.algebra.dim, 2),
+                            rational_vec(rng, basis.algebra.dim, 2))
+
+    @pytest.mark.parametrize("name", ["moment2", "moment3", "power2d_k3"])
+    @pytest.mark.parametrize("x0", [0, Fraction(1, 3)])
+    def test_matches_dynkin_series(self, name, x0):
+        # psi(r) = psi(x1) e^x2 and psi(q) = e^x2 psi(x1), with psi(x) =
+        # e^(x_0 e_0) ... e^(x_(N-1) e_(N-1)) in the Malcev basis
+        basis, gl = malcev_law(name, x0)
+        alg = _malcev_struct(basis)
+        N = alg.dim
+
+        def log_psi(x):
+            acc = [Fraction(0)] * N
+            for i, c in enumerate(x):
+                acc = bch(alg, acc, [c if k == i else Fraction(0) for k in range(N)])
+            return acc
+
+        rng = random.Random(29)
+        for _ in range(4):
+            x1, x2 = rational_vec(rng, N, 2), rational_vec(rng, N, 2)
+            L1 = log_psi(x1)
+            assert log_psi([p.eval(x1 + x2) for p in gl.r]) == bch(alg, L1, x2)
+            assert log_psi([p.eval(x1 + x2) for p in gl.q]) == bch(alg, x2, L1)
+
 
 class TestCoveringMap:
     def test_moment2_chart(self, moment2):
-        table = moment2["table"]
-        cm = covering_map(table, [0, 0, 0], 2)
+        cm = covering_map(malcev_at(moment2["table"], [0, 0, 0], 2), [0, 0, 0])
         assert cm.jacobian_det_at_origin != 0
         assert cm.diagnostics["det_matches_frame_up_to_sign"]
         assert cm.diagnostics["pullback_fd_check"]["worst_first_order_defect"] < 1e-3
@@ -334,7 +431,8 @@ class TestCoveringMap:
         X1 = hodge_star_field(PolyMap((xs[0],)))
         X2 = hodge_star_field(PolyMap((xs[1],)))
         table = build_word_table(X1, X2, 3)
-        cm = covering_map(table, [Fraction(1, 2), Fraction(1, 3)], 1)
+        x0 = [Fraction(1, 2), Fraction(1, 3)]
+        cm = covering_map(malcev_at(table, x0, 1), x0)
         assert all(m.total_degree() <= 1 for m in cm.map)
 
     def test_deficient_span_rejected(self):
@@ -342,8 +440,9 @@ class TestCoveringMap:
         pi1 = PolyMap((xs[0], xs[1]))
         pi2 = PolyMap((xs[0] - xs[2] ** 2, xs[1]))
         table = build_word_table(hodge_star_field(pi1), hodge_star_field(pi2), 5)
+        basis = malcev_at(table, [0, 0, 0], nilpotency_step(table))
         with pytest.raises(SingularAtOrigin):
-            covering_map(table, [0, 0, 0], nilpotency_step(table))
+            covering_map(basis, [0, 0, 0])
 
     def test_isotropy_at_generic_point(self, moment2):
         table = moment2["table"]
