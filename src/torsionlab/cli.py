@@ -230,7 +230,8 @@ def cmd_ccball(args) -> int:
         x1 = _parse_vector(args.x1 or ",".join(["0"] * scene.dim), "--x1")
         x2 = _parse_vector(args.x2 or ",".join(["0"] * scene.dim), "--x2")
         if not entries:
-            raise CliError("no nonzero lambda classes; supply --spec")
+            raise CliError("no nonzero lambda classes; the doubling check "
+                           "takes its ball words from one")
         words = entries[0].words
         report = doubling_check(
             table, entries, x1, x2, words, words,
@@ -350,6 +351,8 @@ def cmd_polyalg(args) -> int:
         dump_report(report, args.out)
         return EXIT_OK
     if args.algorithm == "sublevel":
+        if args.samples < 1:
+            raise CliError(f"--samples must be at least 1, got {args.samples}")
         with open(args.poly) as fh:
             data = json.load(fh)
         if isinstance(data, list):

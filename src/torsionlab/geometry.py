@@ -18,6 +18,7 @@ vanishes, all longer words vanish with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -305,15 +306,12 @@ def lie_series_flow(x: PolyVectorField, max_terms: int = 40) -> FlowMap:
         series.append(nxt)
         current = nxt
     t = RatPoly.variable(n + 1, n)
+    weights = [t ** j * Fraction(1, math.factorial(j)) for j in range(len(series))]
     out = []
     for i in range(n):
         acc = RatPoly.zero(n + 1)
-        fact = 1
-        for j, level in enumerate(series):
-            if j > 0:
-                fact *= j
-            term = level[i].extend(n + 1) * (t ** j) * Fraction(1, fact)
-            acc = acc + term
+        for level, weight in zip(series, weights):
+            acc = acc + level[i].extend(n + 1) * weight
         out.append(acc)
     return FlowMap(vector_field=x, map=tuple(out), terms_used=len(series))
 

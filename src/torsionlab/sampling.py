@@ -2,13 +2,18 @@
 
 Generalized Halton points: coordinate i uses the i-th prime base with a
 seed-selected digit permutation (0 stays fixed so finite expansions stay
-finite; seed 0 gives the plain Halton sequence).  Points are reproducible
-bit-for-bit given (dim, seed, offset), and shard merges below sum in shard
-order, so reports do not depend on the executor.
+finite; seed 0 gives the plain Halton sequence).  Each coordinate is the
+radical-inverse digit fold of the point's index, least significant digit
+first; ``halton`` takes the low digits' part of that fold from a table and
+adds the high digits' terms per run of indices, in the same order, so every
+point is bit-for-bit the digit-by-digit fold.  Points are reproducible given
+(dim, seed, offset), and shard merges below sum in shard order, so reports
+do not depend on the executor.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
@@ -30,23 +35,55 @@ def _digit_permutation(base: int, seed: int) -> np.ndarray:
     return np.concatenate([[0], perm])
 
 
+def _fold_digits(x: np.ndarray, n: np.ndarray, b: int, perm: np.ndarray,
+                 denom: float = 1.0) -> float:
+    """x += perm[d_j] / b^(j0 + j) over the base-b digits d_j of n, least
+    significant first, with b^j0 = denom; returns the last denominator."""
+    while n.max() > 0:
+        n, digit = np.divmod(n, b)
+        denom *= b
+        x += perm[digit] / denom
+    return denom
+
+
 def halton(dim: int, count: int, seed: int = 0, offset: int = 0) -> np.ndarray:
-    """(count, dim) scrambled-Halton points in [0, 1)^dim."""
+    """(count, dim) scrambled-Halton points in [0, 1)^dim: the points with
+    indices offset + 1, ..., offset + count.
+
+    Coordinate i of point n folds the base-b digits of n (b the i-th prime)
+    least significant first: x += perm[d_j] / denom after denom *= b, in
+    floats.  The first k steps of the fold depend only on n mod b^k, so they
+    are done once, on a table over arange(b^k); the later steps are done on
+    the run numbers n // b^k, continuing the same denom, and added to every
+    index of each run by broadcasting.  Each point thus gets the digit
+    loop's terms in the digit loop's order, bit for bit.  A zero digit adds
+    +0.0 and leaves the non-negative sum unchanged, so the table's leading
+    zeros and the runs' extra high levels change no bits.  b^k is the
+    largest power of b not above isqrt(offset + count + 1), which keeps both
+    the table and the run array short.
+    """
     if dim > len(_PRIMES):
         raise ValueError(f"dimension {dim} beyond the prime table")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.int64)
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     out = np.empty((count, dim))
+    if count == 0:
+        return out
+    first, stop = offset + 1, offset + count + 1
+    root = math.isqrt(stop)
     for i in range(dim):
         b = _PRIMES[i]
         perm = _digit_permutation(b, seed)
-        x = np.zeros(count)
-        denom = 1.0
-        n = idx.copy()
-        while n.max() > 0:
-            n, digit = np.divmod(n, b)
-            denom *= b
-            x += perm[digit] / denom
-        out[:, i] = x
+        block = 1
+        while block * b <= root:
+            block *= b
+        table = np.zeros(block)
+        denom = _fold_digits(table, np.arange(block), b, perm)
+        runs = np.arange(first // block, (stop - 1) // block + 1, dtype=np.int64)
+        x = np.tile(table, (len(runs), 1))
+        _fold_digits(x, runs[:, None], b, perm, denom)
+        start = first - runs[0] * block
+        out[:, i] = x.ravel()[start:start + count]
     return out
 
 

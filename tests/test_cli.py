@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from torsionlab.cli import main
+from torsionlab.polycore import RatPoly
 from torsionlab.scenes import moment_curve_scene
 
 
@@ -191,10 +192,12 @@ class TestContracts:
         p.write_text(json.dumps(Scene(pi1=pi1, pi2=pi2, cap=4).to_json_dict()))
         code, report = run(["polytope", "--scene", str(p)], capsys)
         assert (code, report["classes"]) == (0, [])
-        for check in ("sample", "doubling"):
+        for check, advice in (
+                ("sample", "supply --spec"),
+                ("doubling", "the doubling check takes its ball words from one")):
             assert main(["ccball", "--check", check, "--scene", str(p)]) == 2
             assert capsys.readouterr().err == \
-                "error: no nonzero lambda classes; supply --spec\n"
+                f"error: no nonzero lambda classes; {advice}\n"
         code, report = run(["ccball", "--check", "cover", "--scene", str(p)], capsys)
         assert (code, report["count"]) == (0, 0)
 
@@ -216,6 +219,16 @@ class TestContracts:
                      "--samples", samples])
         assert code == 2
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_polyalg_sublevel_samples_below_one_exit_2(self, tmp_path, samples,
+                                                       capsys):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(RatPoly.variable(1, 0).to_json_dict()))
+        code = main(["polyalg", "sublevel", "--poly", str(p), "--samples", samples])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: --samples must be at least 1, got {samples}\n"
 
     def test_verify_samples_default_from_scene(self, scene_file, capsys):
         code, report = run(["verify", "strong", "--scene", scene_file], capsys)

@@ -1,15 +1,77 @@
-"""Low-discrepancy sampler: determinism, sharding invariance, uniformity."""
+"""Low-discrepancy sampler: bits against the digit loop, determinism,
+sharding invariance, uniformity."""
 
 import os
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from torsionlab.sampling import halton, qmc_mean, scale_to_box
+from torsionlab.sampling import (
+    _PRIMES,
+    _digit_permutation,
+    halton,
+    qmc_mean,
+    scale_to_box,
+)
+
+
+def _reference_halton(dim, count, seed=0, offset=0):
+    """The digit-by-digit fold: every digit of every index, least
+    significant first, over the whole index array."""
+    idx = np.arange(offset + 1, offset + count + 1, dtype=np.int64)
+    out = np.empty((count, dim))
+    for i in range(dim):
+        b = _PRIMES[i]
+        perm = _digit_permutation(b, seed)
+        x = np.zeros(count)
+        denom = 1.0
+        n = idx.copy()
+        while n.max() > 0:
+            n, digit = np.divmod(n, b)
+            denom *= b
+            x += perm[digit] / denom
+        out[:, i] = x
+    return out
+
+
+_BIT_CASES = [
+    # the four shards of a 2^18-point run in dim 3
+    *((3, 65536, seed, k * 65536) for seed in (0, 2) for k in range(4)),
+    # unaligned offsets, up to past 10^7
+    *((5, 1000, 3, off) for off in (1, 99, 12345, 999983, 10**7 + 17)),
+    (2, 70000, 5, 123456),
+    # the counts ccballs asks for
+    *((n, count, seed, 0) for count in (1, 6, 16, 25)
+      for n in (2, 3) for seed in (0, 7)),
+    # every dimension of the prime table
+    *((dim, 2000, dim % 3, 41) for dim in range(1, 31)),
+]
 
 
 class TestHalton:
+    @pytest.mark.parametrize("dim, count, seed, offset", _BIT_CASES)
+    def test_bits_match_digit_loop(self, dim, count, seed, offset):
+        assert np.array_equal(halton(dim, count, seed=seed, offset=offset),
+                              _reference_halton(dim, count, seed, offset))
+
+    def test_unscrambled_points_are_radical_inverses(self):
+        # points 1..4 in bases 2, 3, 5; base 2 alone cannot tell the order of
+        # the float sums apart, because its sums are exact
+        expected = [[Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)],
+                    [Fraction(1, 4), Fraction(2, 3), Fraction(2, 5)],
+                    [Fraction(3, 4), Fraction(1, 9), Fraction(3, 5)],
+                    [Fraction(1, 8), Fraction(4, 9), Fraction(4, 5)]]
+        assert halton(3, 4).tolist() == [[float(v) for v in row] for row in expected]
+
+    def test_zero_count_gives_empty_batch(self):
+        assert halton(3, 0, seed=2, offset=10).shape == (0, 3)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count"):
+            halton(3, -1)
+
     def test_deterministic(self):
         a = halton(3, 500, seed=7)
         b = halton(3, 500, seed=7)
