@@ -378,6 +378,8 @@ def cmd_verify(args) -> int:
     )
 
     if args.inequality == "counterexample2d":
+        if args.k < 1:
+            raise CliError(f"--k must be at least 1, got {args.k}")
         report = counterexample_2d(args.k)
         dump_report(report, args.out)
         return EXIT_OK

@@ -12,7 +12,7 @@ the top.  Interval endpoints and thresholds stay rational wherever a decision
 is made.  The monomialization covers use no floats at all: their cuts are
 Sturm-isolated roots, recovered exactly when rational and bracketed by hairline
 rational gutters otherwise.  Floats appear only in diagnostics and in the
-numeric probes (quadrature, sublevel sampling, the tangency scan).
+numeric probes (sublevel sampling, the tangency scan).
 """
 
 from __future__ import annotations
@@ -450,29 +450,25 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
                            eps: float = 0.1, c=Fraction(1, 2)) -> dict:
     """Ratio of int_S |P| against the derivative-ladder lower bound.
 
-    LHS by adaptive quadrature (relative tolerance 1e-8, split at real roots);
+    LHS exactly: |P| keeps one sign between consecutive real roots, so int_S |P|
+    is the sum of |Q(x1) - Q(x0)| over the exact antiderivative Q, cut at the
+    roots refined to width 2^-64; it is rounded to a float once.
     RHS = sum_j sup_J |P^(j)| (|J|/|S|)^((1-eps) j) |S|^(j+1) with J from the
     stopping time.  The ratio is reported, not asserted; regression floors
     live in the test corpus.
     """
-    from scipy.integrate import quad
-
     coeffs = from_ratpoly(P) if isinstance(P, RatPoly) else [Fraction(x) for x in P]
     r = refine_interval(S, c=c)
     J = r["J"]
     total = float(S.measure())
-    arr = np.array([float(x) for x in coeffs]) if coeffs else np.array([0.0])
-
-    def pval(x):
-        return np.polyval(arr[::-1], x)
-
-    roots = [float(a + b) / 2 for a, b in isolate_real_roots(coeffs)] if coeffs else []
-    lhs = 0.0
+    Q = [Fraction(0)] + [x / (i + 1) for i, x in enumerate(coeffs)]
+    cuts = [sum(refine_root(coeffs, iv, Fraction(1, 2**64))) / 2
+            for iv in isolate_real_roots(coeffs)]
+    lhs = Fraction(0)
     for a, b in S.intervals:
-        pts = sorted({float(a), float(b), *[t for t in roots if float(a) < t < float(b)]})
-        for x0, x1 in zip(pts, pts[1:]):
-            v, _ = quad(lambda x: abs(pval(x)), x0, x1, epsrel=1e-8, limit=200)
-            lhs += v
+        pts = [a, *[t for t in cuts if a < t < b], b]
+        lhs += sum(abs(ueval(Q, x1) - ueval(Q, x0)) for x0, x1 in zip(pts, pts[1:]))
+    lhs = float(lhs)
     rhs = 0.0
     d = list(coeffs)
     Jlen = float(J[1] - J[0])

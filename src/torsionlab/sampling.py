@@ -7,15 +7,12 @@ radical-inverse digit fold of the point's index, least significant digit
 first; ``halton`` takes the low digits' part of that fold from a table and
 adds the high digits' terms per run of indices, in the same order, so every
 point is bit-for-bit the digit-by-digit fold.  Points are reproducible given
-(dim, seed, offset), and shard merges below sum in shard order, so reports
-do not depend on the executor.
+(dim, seed, offset), and ``qmc_mean`` sums its shards in shard order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 import numpy as np
@@ -93,13 +90,6 @@ def scale_to_box(u: np.ndarray, lo, hi) -> np.ndarray:
     return lo + u * (hi - lo)
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TORSIONLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def qmc_mean(
     f: Callable[[np.ndarray], np.ndarray | Iterable[np.ndarray]],
     dim: int,
@@ -118,8 +108,7 @@ def qmc_mean(
     one row at a time.
 
     Sharded deterministically: shard k evaluates points [k*shard_size, ...)
-    of the scrambled sequence and partial sums are combined in shard order,
-    so the result is identical for any thread count.
+    of the scrambled sequence and partial sums are combined in shard order.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -139,12 +128,7 @@ def qmc_mean(
             sums.append((float(vals.sum()), float((vals * vals).sum())))
         return one_row, sums
 
-    workers = thread_count()
-    if workers > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run, shards))
-    else:
-        parts = [run(s) for s in shards]
+    parts = [run(s) for s in shards]
     stats = []
     for row in zip(*(sums for _, sums in parts)):
         mean = sum(s1 for s1, _ in row) / n_samples

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, JSON I/O, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,20 @@ class TestContracts:
         assert code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_counterexample_k_below_one_exit_2(self, k, capsys):
+        code = main(["verify", "counterexample2d", "--k", k])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
+
+    def test_counterexample_large_k_stays_finite(self, capsys):
+        code, out = run(["verify", "counterexample2d", "--k", "2000"], capsys)
+        assert code == 0
+        assert out["rows"] and out["verdict"] == "unbounded-growth"
+        for row in out["rows"]:
+            assert all(math.isfinite(row[f]) and row[f] > 0
+                       for f in ("B", "norm_f2", "ratio"))
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_polyalg_sublevel_samples_below_one_exit_2(self, tmp_path, samples,
                                                        capsys):
@@ -326,17 +341,6 @@ class TestContracts:
             assert main(["torsion", "--scene", src, *extra, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-
-    def test_thread_env_does_not_change_bytes(self, scene_file, tmp_path,
-                                              monkeypatch):
-        path1 = tmp_path / "t1.json"
-        main(["verify", "rwt", "--scene", scene_file, "--seed", "1",
-              "--out", str(path1)])
-        monkeypatch.setenv("TORSIONLAB_THREADS", "4")
-        path2 = tmp_path / "t4.json"
-        main(["verify", "rwt", "--scene", scene_file, "--seed", "1",
-              "--out", str(path2)])
-        assert path1.read_bytes() == path2.read_bytes()
 
     @pytest.mark.parametrize("args, field", [
         (["--check", "cover", "--rho", "-1"], "rho"),

@@ -237,6 +237,15 @@ class TestRefinementBound:
         S = IntervalSet.from_pairs([[0, 1]])
         r = check_refinement_bound(S, p, N=3)
         assert r["ratio"] > 1e-4
+        # antiderivative 8t^4 - 16t^3 + 11t^2 - 3t takes 0, -9/32, -1/4,
+        # -9/32, 0 at 0, 1/4, 1/2, 3/4, 1
+        assert r["lhs"] == float(Fraction(9 + 1 + 1 + 9, 32))
+
+    def test_irrational_root_lhs(self):
+        # int_0^2 |t^2 - 2| dt = 8 sqrt(2)/3 - 4/3, cut at the root sqrt(2)
+        S = IntervalSet.from_pairs([[0, 2]])
+        r = check_refinement_bound(S, [-2, 0, 1], N=2)
+        assert r["lhs"] == pytest.approx(8 * math.sqrt(2) / 3 - 4 / 3, rel=1e-13)
 
 
 class TestSublevel:

@@ -1,9 +1,7 @@
 """Low-discrepancy sampler: bits against the digit loop, determinism,
 sharding invariance, uniformity."""
 
-import os
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -113,17 +111,9 @@ class TestQmcMean:
         b = qmc_mean(f, 2, 30000, seed=4, shard_size=999)
         assert a[0] == pytest.approx(b[0], rel=1e-12)
 
-    def test_thread_count_does_not_change_result(self):
-        f = lambda p: p[:, 0] ** 3
-        with mock.patch.dict(os.environ, {"TORSIONLAB_THREADS": "1"}):
-            a = qmc_mean(f, 1, 50000, seed=6, shard_size=4096)
-        with mock.patch.dict(os.environ, {"TORSIONLAB_THREADS": "8"}):
-            b = qmc_mean(f, 1, 50000, seed=6, shard_size=4096)
-        assert a == b
-
     def test_rows_match_one_row_calls(self):
         # each row of a multi-row f gives what f restricted to that row gives,
-        # for any thread count and shard size
+        # for any shard size
         rows = [lambda p: p[:, 0] ** 3, lambda p: np.sin(p[:, 0] + p[:, 1]),
                 lambda p: (p[:, 1] > 0.4).astype(float)]
 
@@ -134,10 +124,8 @@ class TestQmcMean:
         for shard_size in (1 << 16, 4096, 999):
             single = [qmc_mean(g, 2, 50000, seed=6, shard_size=shard_size)
                       for g in rows]
-            for threads in ("1", "2"):
-                with mock.patch.dict(os.environ, {"TORSIONLAB_THREADS": threads}):
-                    multi = qmc_mean(f, 2, 50000, seed=6, shard_size=shard_size)
-                assert multi == single, (shard_size, threads)
+            multi = qmc_mean(f, 2, 50000, seed=6, shard_size=shard_size)
+            assert multi == single, shard_size
 
     def test_no_rows_gives_empty_list(self):
         assert qmc_mean(lambda p: iter(()), 2, 100, seed=1) == []

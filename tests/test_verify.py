@@ -1,5 +1,6 @@
 """Measure engine, restricted-weak-type and strong-type probes, controls."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,29 @@ class TestCounterexample2D:
         r = counterexample_2d(2, variant="plain")
         assert r["growth_factor"] < 2.0
         assert r["verdict"] == "bounded"
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_log_rows_closed_form(self, k):
+        # cut c = 1/2, delta = 2^-j: u runs over (log 2, j log 2)
+        r = counterexample_2d(k)
+        assert len(r["rows"]) == 16
+        for row in r["rows"]:
+            j = row["j"]
+            assert row["B"] == pytest.approx(math.log(j) / k, rel=1e-13)
+            assert row["norm_f2"] ** k == pytest.approx(
+                math.log(2) ** (1 - k) * (1 - j ** (1 - k)) / (k - 1), rel=1e-13)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_plain_rows_closed_form(self, k):
+        r = counterexample_2d(k, variant="plain")
+        for row in r["rows"]:
+            j = row["j"]
+            assert row["B"] == pytest.approx(2 ** (-1 / k) - 2 ** (-j / k), rel=1e-13)
+            assert row["norm_f2"] ** k == pytest.approx(0.5 - 2.0 ** -j, rel=1e-13)
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+            counterexample_2d(0)
 
 
 class TestScaleProfile:
