@@ -380,6 +380,10 @@ def cmd_verify(args) -> int:
     if args.inequality == "counterexample2d":
         if args.k < 1:
             raise CliError(f"--k must be at least 1, got {args.k}")
+        if args.k > sys.float_info.max:
+            # the closed forms take k as a float
+            raise CliError(f"--k must be at most {sys.float_info.max:g}, "
+                           f"got a {len(str(args.k))}-digit integer")
         report = counterexample_2d(args.k)
         dump_report(report, args.out)
         return EXIT_OK

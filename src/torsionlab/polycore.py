@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -53,15 +54,23 @@ class RatPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "RatPoly":
+        """Wrap a dict of valid exponents and nonzero Fractions, unchecked."""
+        res = object.__new__(cls)
+        res.nvars = nvars
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls, nvars: int) -> "RatPoly":
-        return cls(nvars)
+        return cls._of(int(nvars), {})
 
     @classmethod
     def const(cls, nvars: int, value: RatLike) -> "RatPoly":
         value = Fraction(value)
         if value == 0:
-            return cls(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+            return cls.zero(nvars)
+        return cls._of(int(nvars), {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "RatPoly":
@@ -127,23 +136,26 @@ class RatPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not self.terms:
+            # common: sums start at 0, and many bracket and det products are 0
+            return RatPoly._of(self.nvars, dict(other.terms))
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            s = out.get(exp, Fraction(0)) + c
-            if s == 0:
-                out.pop(exp, None)
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
             else:
-                out[exp] = s
-        res = RatPoly(self.nvars)
-        res.terms = out
-        return res
+                s += c
+                if s:
+                    out[exp] = s
+                else:
+                    del out[exp]
+        return RatPoly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        res = RatPoly(self.nvars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return RatPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "RatPoly":
         other = self._coerce(other)
@@ -158,18 +170,24 @@ class RatPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return RatPoly.zero(self.nvars)
+        # a cancelled term is deleted, so a later product re-inserts it at
+        # the end: the term order is part of the result (floats sum in it)
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out[e] = s
-        res = RatPoly(self.nvars)
-        res.terms = out
-        return res
+                    s += c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
+        return RatPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -229,9 +247,7 @@ class RatPoly:
             new = list(exp)
             new[var] = e - 1
             out[tuple(new)] = c * e
-        res = RatPoly(self.nvars)
-        res.terms = out
-        return res
+        return RatPoly._of(self.nvars, out)
 
     def partial_multi(self, beta: Sequence[int]) -> "RatPoly":
         p = self
@@ -277,9 +293,7 @@ class RatPoly:
         if nvars_new < self.nvars:
             raise ValueError("cannot extend to fewer variables")
         pad = (0,) * (nvars_new - self.nvars)
-        res = RatPoly(nvars_new)
-        res.terms = {exp + pad: c for exp, c in self.terms.items()}
-        return res
+        return RatPoly._of(nvars_new, {exp + pad: c for exp, c in self.terms.items()})
 
     def coefficients_in(self, time_vars: Sequence[int]) -> dict[Exponent, "RatPoly"]:
         """Split off a variable group: map t-exponent -> coefficient polynomial.
@@ -294,14 +308,12 @@ class RatPoly:
             rest = list(exp)
             for i in tset:
                 rest[i] = 0
-            coeff = out.setdefault(texp, RatPoly.zero(self.nvars))
-            key = tuple(rest)
-            s = coeff.terms.get(key, Fraction(0)) + c
-            if s == 0:
-                coeff.terms.pop(key, None)
-            else:
-                coeff.terms[key] = s
-        return {t: p for t, p in out.items() if not p.is_zero()}
+            coeff = out.get(texp)
+            if coeff is None:
+                coeff = out[texp] = RatPoly(self.nvars)
+            # (texp, rest) determines exp, so no two terms meet here
+            coeff.terms[tuple(rest)] = c
+        return out
 
     def divexact(self, divisor: "RatPoly") -> "RatPoly":
         """Exact division; raises ExactDivisionError on a nonzero remainder."""
@@ -319,9 +331,7 @@ class RatPoly:
                 if any(e < 0 for e in q_exp):
                     raise ExactDivisionError("leading term not divisible")
                 out[q_exp] = c / d_c
-            res = RatPoly(self.nvars)
-            res.terms = out
-            return res
+            return RatPoly._of(self.nvars, out)
         rem = self
         quo = RatPoly.zero(self.nvars)
         while not rem.is_zero():

@@ -11,9 +11,15 @@ E_1..E_N of the nilpotent algebra, so by Cauchy-Binet
 
     det(X_{w_1}, ..., X_{w_n}) = sum_{|S| = n} det(C[W, S]) * det(E_S).
 
-Only the C(N, n) polynomial determinants det(E_S) are formed; each word tuple
-costs rational minors.  The identity is exact, so the classes are the ones a
-polynomial determinant of every tuple gives.
+Only the C(N, n) polynomial determinants det(E_S) are formed.  Words whose
+coordinate rows C[w] are proportional form a group: their fields are rational
+multiples of one field, so a tuple that takes two words of one group has
+det 0.  The sum is therefore formed once per n-subset of groups, over the rows
+normalised by their first nonzero entry, and each choice of one word per group
+scales it by the product of those entries.  moment5 has 32 words in 6 groups:
+one group subset and 1024 word choices instead of C(32, 6) = 906192 tuples.
+The identity is exact, so the classes are the ones a polynomial determinant
+of every tuple gives.
 
 The polytopes here live in Z^2 >= 0 and are always of the form
 
@@ -28,11 +34,12 @@ chain is kept in exact Fractions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .geometry import Word, WordTable, tuple_degree
+from .geometry import Word, WordTable, word_degree
 from .nilpotent import _rational_det, basis_frame
 from .polycore import RatPoly
 from .torsion import (
@@ -238,52 +245,101 @@ class LambdaEntry:
     poly: RatPoly
 
 
+def _coordinate_groups(words: Sequence[Word], coords: dict) -> dict[tuple, list]:
+    """Words grouped by their coordinate row up to a nonzero scale.
+
+    Maps each row normalised by its first nonzero entry to the
+    (index in ``words``, scale) pairs of its words, the scale being that
+    entry.  Groups come in order of their first word; a word whose row is zero
+    (a vanishing field) joins no group.
+    """
+    groups: dict[tuple, list[tuple[int, Fraction]]] = {}
+    for i, w in enumerate(words):
+        row = coords[w]
+        lead = next((c for c in row if c), None)
+        if lead is not None:
+            groups.setdefault(tuple(c / lead for c in row), []).append((i, lead))
+    return groups
+
+
 def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEntry]:
     """All nonzero determinant classes over unordered word tuples.
 
     Tuples with a repeated word vanish identically and are skipped; classes
-    whose determinants agree up to sign are merged (the first tuple found, in
-    length-then-lex order, names the class).
+    whose determinants agree up to sign are merged, and the first tuple found
+    in ``itertools.combinations(table.words(), n)`` order names the class.
 
-    Each determinant is the Cauchy-Binet sum over the coordinates of
-    ``word_basis``: det(X_W) = sum over n-subsets S of the N basis fields of
-    det(C[W, S]) * det(E_S), with the nonzero det(E_S) read from the table's
-    ``basis_frame``, which the torsion Jacobian shares.  The sum is
-    exact, so the classes, their naming tuples and their polynomials are those
-    of a direct polynomial determinant of every tuple.  The tuple budget is
-    checked before any determinant is formed.
+    The words are grouped by their coordinate rows in ``basis_frame``, up to
+    scale (``_coordinate_groups``).  The fields of one group are rational
+    multiples of one field, so a tuple that takes two words of a group has
+    det 0.  For each n-subset G of groups, one Cauchy-Binet sum over the
+    normalised rows R is formed,
+
+        D_G = sum over n-subsets S of the N basis fields of det(R[G, S]) * det(E_S),
+
+    with the nonzero det(E_S) read from the frame, which the torsion
+    Jacobian shares.  A subset with D_G = 0 (rank below n, or cancellation)
+    is skipped.  Otherwise the tuple that takes one word of each group has
+    det +-(product of the word scales) * D_G, whose sign-normalised form is
+    |product| times that of D_G.  The sums are exact, so the classes, their
+    names and their polynomials (term order included) are those of a
+    per-tuple determinant.  A class is named by its least sorted index tuple,
+    which is the first tuple ``itertools.combinations`` would find.
+
+    The budget counts the work done: the C(#groups, n) group subsets,
+    checked before any sum is formed, plus the word choices of every nonzero
+    subset, checked before they are enumerated.
     """
     words = table.words()
     n = table.dim
-    total = 1
-    for i in range(n):
-        total = total * max(1, len(words) - i) // (i + 1)
-    if total > tuple_budget:
-        raise TupleBudgetExceeded(
-            f"{total} word tuples exceed budget {tuple_budget}"
-        )
     frame = basis_frame(table)
-    classes: dict[tuple, LambdaEntry] = {}
-    for combo in itertools.combinations(words, n):
-        coords = [frame.basis.coords[w] for w in combo]
+    groups = list(_coordinate_groups(words, frame.basis.coords).items())
+    work = 0
+
+    def spend(count: int) -> None:
+        nonlocal work
+        work += count
+        if work > tuple_budget:
+            raise TupleBudgetExceeded(
+                f"{work} group subsets and word choices exceed budget {tuple_budget}"
+            )
+
+    spend(math.comb(len(groups), n))
+    degs = [word_degree(w) for w in words]
+    named: dict[tuple, tuple[tuple[int, ...], RatPoly]] = {}
+    for subset in itertools.combinations(groups, n):
         acc: dict = {}
         for cols, d in frame.minors:
-            minor = _rational_det([[row[j] for j in cols] for row in coords])
+            minor = _rational_det([[row[j] for j in cols] for row, _ in subset])
             if minor != 0:
                 for exp, c in d.terms.items():
                     acc[exp] = acc.get(exp, 0) + minor * c
-        det = RatPoly(n, acc)
-        if det.is_zero():
+        base = RatPoly(n, acc)
+        if base.is_zero():
             continue
-        lead_exp, lead_c = det.leading()
-        if lead_c < 0:
-            det = -det
-        key = (tuple_degree(combo), tuple(sorted(det.sorted_terms())))
-        if key not in classes:
-            classes[key] = LambdaEntry(words=combo, deg=tuple_degree(combo), poly=det)
-    return sorted(
-        classes.values(), key=lambda e: (e.deg, [(len(w), w) for w in e.words])
-    )
+        members = [m for _, m in subset]
+        spend(math.prod(map(len, members)))
+        if base.leading()[1] < 0:
+            base = -base
+        # choices of equal degree and |scale| fall in one class: keep the
+        # least index tuple of each
+        first: dict[tuple, tuple[int, ...]] = {}
+        for choice in itertools.product(*members):
+            idx = tuple(sorted(i for i, _ in choice))
+            deg = (sum(degs[i][0] for i in idx), sum(degs[i][1] for i in idx))
+            part = (deg, abs(math.prod(s for _, s in choice)))
+            if part not in first or idx < first[part]:
+                first[part] = idx
+        for (deg, scale), idx in first.items():
+            det = base * scale
+            key = (deg, tuple(sorted(det.sorted_terms())))
+            if key not in named or idx < named[key][0]:
+                named[key] = (idx, det)
+    entries = [
+        LambdaEntry(words=tuple(words[i] for i in idx), deg=key[0], poly=det)
+        for key, (idx, det) in named.items()
+    ]
+    return sorted(entries, key=lambda e: (e.deg, [(len(w), w) for w in e.words]))
 
 
 def newton_polytope(entries: Sequence[LambdaEntry], flavor: str = "union",

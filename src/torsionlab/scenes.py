@@ -283,6 +283,8 @@ def power2d_scene(k: int) -> Scene:
 _BUILTINS = {
     "moment2": lambda: moment_curve_scene(2),
     "moment3": lambda: moment_curve_scene(3),
+    "moment4": lambda: moment_curve_scene(4),
+    "moment5": lambda: moment_curve_scene(5),
     "power2d_k2": lambda: power2d_scene(2),
     "power2d_k3": lambda: power2d_scene(3),
 }

@@ -202,15 +202,26 @@ class TestContracts:
         code, report = run(["ccball", "--check", "cover", "--scene", str(p)], capsys)
         assert (code, report["count"]) == (0, 0)
 
-    def test_polytope_over_tuple_budget_exit_3(self, tmp_path, capsys):
-        # moment5 has 32 words in dimension 6: C(32, 6) = 906192 tuples
-        p = tmp_path / "moment5.json"
-        p.write_text(json.dumps(moment_curve_scene(5).to_json_dict()))
-        code = main(["polytope", "--scene", str(p)])
+    def test_polytope_moment5(self, capsys):
+        # 32 words in dimension 6, but only 6 groups of proportional
+        # coordinate rows: one group subset and 1024 word choices
+        code, report = run(["polytope", "--scene", "builtin:moment5"], capsys)
+        assert code == 0
+        assert [c["deg"] for c in report["classes"]] == \
+            [[5 + i, 11 - i] for i in range(7)]
+        assert report["extreme"] == [[5, 11], [11, 5]]
+
+    def test_polytope_over_tuple_budget_exit_3(self, monkeypatch, capsys):
+        import functools
+
+        from torsionlab import polytope
+
+        monkeypatch.setattr(polytope, "lambda_table", functools.partial(
+            polytope.lambda_table, tuple_budget=1000))
+        code = main(["polytope", "--scene", "builtin:moment5"])
         assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("inconclusive:")
-        assert "906192" in err and "200000" in err
+        assert capsys.readouterr().err == ("inconclusive: 1025 group subsets and "
+                                           "word choices exceed budget 1000\n")
 
     @pytest.mark.parametrize("inequality", ["rwt", "strong", "scales"])
     @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -226,6 +237,14 @@ class TestContracts:
         code = main(["verify", "counterexample2d", "--k", k])
         assert code == 2
         assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
+
+    def test_counterexample_k_beyond_float_range_exit_2(self, capsys):
+        code = main(["verify", "counterexample2d", "--k", str(10**400)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: --k must be at most 1.79769e+308, "
+                                           "got a 401-digit integer\n")
+        code, out = run(["verify", "counterexample2d", "--k", str(10**30)], capsys)
+        assert (code, out["k"]) == (0, 10**30)
 
     def test_counterexample_large_k_stays_finite(self, capsys):
         code, out = run(["verify", "counterexample2d", "--k", "2000"], capsys)

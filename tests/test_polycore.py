@@ -1,5 +1,6 @@
 """Exact polynomial core: examples with independent oracles plus ring laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,59 @@ class TestRingAxioms:
     @settings(max_examples=30, deadline=None)
     def test_additive_inverse(self, a):
         assert (a - a).is_zero()
+
+
+def former_add(p, q):
+    """The former __add__ loop, kept as the reference for value and term order."""
+    out = dict(p.terms)
+    for exp, c in q.terms.items():
+        s = out.get(exp, Fraction(0)) + c
+        if s == 0:
+            out.pop(exp, None)
+        else:
+            out[exp] = s
+    return out
+
+
+def former_mul(p, q):
+    """The former __mul__ loop, kept as the reference for value and term order."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+class TestTermOrder:
+    def test_cancelled_term_goes_to_the_end(self):
+        # the x^2 partials sum -1 + 1 = 0 and are deleted; the last one
+        # re-inserts x^2 after x^3
+        p = RatPoly(1, {(0,): -1, (1,): -1, (2,): 1})
+        sq = p * p
+        assert list(sq.terms.items()) == [
+            ((0,), 1), ((1,), 2), ((3,), -2), ((2,), -1), ((4,), 1)]
+
+    def test_matches_former_loops(self):
+        # small exponents and coefficients +-1, +-2 make many cancellations;
+        # a draw of no terms gives the zero polynomial
+        rng = random.Random(11)
+        cancelled = 0
+        for _ in range(300):
+            nv = rng.randint(1, 2)
+            p, q = (RatPoly(nv, {
+                tuple(rng.randint(0, 2) for _ in range(nv)):
+                    Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 2]))
+                for _ in range(rng.randint(0, 5))}) for _ in range(2))
+            for got, want in ((p * q, former_mul(p, q)), (p + q, former_add(p, q)),
+                              (p - q, former_add(p, -q))):
+                assert list(got.terms.items()) == list(want.items())
+            cancelled += len(p.terms) * len(q.terms) > len((p * q).terms)
+        assert cancelled > 50
 
 
 class TestDivexact:

@@ -2,17 +2,20 @@
 
 import itertools
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionlab.geometry import build_word_table, hodge_star_field, tuple_degree
-from torsionlab.nilpotent import word_basis
+from torsionlab.nilpotent import _rational_det, basis_frame, word_basis
 from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.polytope import (
     EmptyPolytope,
+    LambdaEntry,
     Polytope2D,
     extreme_and_minimal,
     intersect_polytopes,
@@ -68,6 +71,47 @@ def sheared_scene():
          + x1 * x2**2 * Fraction(1, 2) + x1**3 * x2 * Fraction(1, 6))
     return Scene(pi1=PolyMap((x2, x3)), pi2=PolyMap((x1, x3 - G)), cap=5,
                  name="sheared")
+
+
+def seeded_curve_scene(v):
+    """The benchmark's seeded curve of variant v, (t + a t^2, b t^2 + c t^3)."""
+    from torsionlab.scenes import Scene
+
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parent.parent / "bench" / "workloads.py"))
+    pi1, pi2 = curve_maps(workloads["seeded_curve"](v))
+    return Scene(pi1=pi1, pi2=pi2, cap=6, name=f"curve-v{v}")
+
+
+def per_tuple_lambda_table(table):
+    """Reference: one Cauchy-Binet sum per word tuple in combinations order,
+    the first nonzero tuple of each sign-normalised class naming it."""
+    n = table.dim
+    frame = basis_frame(table)
+    classes = {}
+    for combo in itertools.combinations(table.words(), n):
+        coords = [frame.basis.coords[w] for w in combo]
+        acc = {}
+        for cols, d in frame.minors:
+            minor = _rational_det([[row[j] for j in cols] for row in coords])
+            if minor != 0:
+                for exp, c in d.terms.items():
+                    acc[exp] = acc.get(exp, 0) + minor * c
+        det = RatPoly(n, acc)
+        if det.is_zero():
+            continue
+        if det.leading()[1] < 0:
+            det = -det
+        key = (tuple_degree(combo), tuple(sorted(det.sorted_terms())))
+        if key not in classes:
+            classes[key] = LambdaEntry(words=combo, deg=tuple_degree(combo), poly=det)
+    return sorted(classes.values(),
+                  key=lambda e: (e.deg, [(len(w), w) for w in e.words]))
+
+
+def entry_signature(entries):
+    # the term order too: float evaluators of a class sum its terms in it
+    return [(e.words, e.deg, list(e.poly.terms.items())) for e in entries]
 
 
 class TestStaircase:
@@ -215,6 +259,35 @@ class TestLambdaTable:
             first.setdefault(key, combo)
         # every class comes from a nonzero tuple and is named by the first one
         assert first == {key: e.words for key, e in classes.items()}
+
+    @pytest.mark.parametrize("make", [
+        lambda: moment_curve_scene(2), lambda: moment_curve_scene(3),
+        lambda: power2d_scene(2), lambda: power2d_scene(3),
+        lambda: moment_curve_scene(4), sheared_scene,
+        *(lambda v=v: seeded_curve_scene(v) for v in (0, 3, 7, 12)),
+    ], ids=["moment2", "moment3", "power2d_k2", "power2d_k3", "moment4",
+            "sheared", "curve-v0", "curve-v3", "curve-v7", "curve-v12"])
+    def test_matches_per_tuple_enumeration(self, make):
+        table = make().word_table()
+        assert entry_signature(lambda_table(table)) == \
+            entry_signature(per_tuple_lambda_table(table))
+
+    def test_group_scales_reach_the_classes(self):
+        # builtin groups only have scales +-1; give two words scale 2 in their
+        # group, so the word choices of degree (3, 4) have |scale| 1, 2 or 4
+        table = moment_curve_scene(3).word_table()
+        coords = basis_frame(table).basis.coords
+        for word, twice in (((2, 1), (1, 2)), ((2, 1, 2), (1, 1, 2))):
+            coords[word] = tuple(2 * c for c in coords[twice])
+        entries = lambda_table(table)
+        assert entry_signature(entries) == \
+            entry_signature(per_tuple_lambda_table(table))
+        assert [(e.words, e.poly.constant_value()) for e in entries
+                if e.deg == (3, 4)] == [
+            (((1,), (2,), (1, 2), (2, 1, 2)), 24),
+            (((1,), (2,), (1, 2), (2, 2, 1)), 12),
+            (((1,), (2,), (2, 1), (2, 1, 2)), 48),
+        ]
 
     def test_equal_generators_empty(self):
         xs = RatPoly.variables(2)
