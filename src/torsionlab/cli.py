@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 validation error, 3 numeric inconclusiveness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -42,6 +43,8 @@ from .scenes import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
+# largest |band| whose edges 2.0 ** band and 2.0 ** (band + 1) are normal floats
+MAX_BAND = sys.float_info.max_exp - 2
 
 
 class CliError(Exception):
@@ -60,22 +63,18 @@ def dump_report(data, out: str | None) -> None:
 
 
 def _scene_from_args(args) -> Scene:
-    if getattr(args, "scene", None):
-        name = args.scene
-        if name.startswith("builtin:"):
-            return builtin_scene(name.split(":", 1)[1])
-        return load_scene(name)
-    if getattr(args, "pi1", None) and getattr(args, "pi2", None):
+    if args.scene:
+        if args.scene.startswith("builtin:"):
+            return builtin_scene(args.scene.split(":", 1)[1])
+        return load_scene(args.scene)
+    if args.pi1 and args.pi2:
         from .geometry import PolyMap
 
         def load_map(path):
             with open(path) as fh:
                 return PolyMap.from_json_dict(json.load(fh))
 
-        scene = Scene(pi1=load_map(args.pi1), pi2=load_map(args.pi2))
-        if getattr(args, "cap", None):
-            scene.cap = args.cap
-        return scene
+        return Scene(pi1=load_map(args.pi1), pi2=load_map(args.pi2))
     raise CliError("need --scene or both --pi1 and --pi2")
 
 
@@ -84,6 +83,17 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
         return [Fraction(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad {what}: {text!r} (expected comma-separated rationals)")
+
+
+def _parse_point(text: str | None, what: str, dim: int) -> list[Fraction]:
+    """A point of the scene's space; the origin when the option is absent."""
+    if not text:
+        return [Fraction(0)] * dim
+    point = _parse_vector(text, what)
+    if len(point) != dim:
+        raise CliError(f"bad {what}: {text!r} has {len(point)} coordinates, "
+                       f"expected {dim}")
+    return point
 
 
 def _parse_eps(text: str) -> Fraction:
@@ -103,18 +113,19 @@ def _parse_eps(text: str) -> Fraction:
 
 
 def _parse_bands(text: str) -> range:
-    bad = CliError(f"bad --bands: {text!r} (expected M0:M1, integers with M0 <= M1)")
+    bad = CliError(f"bad --bands: {text!r} (expected M0:M1, integers with "
+                   f"{-MAX_BAND} <= M0 <= M1 <= {MAX_BAND})")
     try:
         m0, m1 = (int(x) for x in text.split(":"))
     except ValueError:
         raise bad from None
-    if m0 > m1:
+    if not -MAX_BAND <= m0 <= m1 <= MAX_BAND:
         raise bad
     return range(m0, m1 + 1)
 
 
 def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
-    if getattr(args, "beta", None):
+    if args.beta:
         bad = CliError(f"bad --beta: {args.beta!r} (expected comma-separated nonnegative integers)")
         try:
             beta = tuple(int(x) for x in args.beta.split(","))
@@ -128,7 +139,7 @@ def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
     raise CliError("no beta: pass --beta or use a scene that declares one")
 
 
-def cmd_fields(args) -> int:
+def cmd_fields(args) -> tuple[dict, int]:
     scene = _scene_from_args(args)
     cap = args.cap or scene.cap
     x1, x2 = scene.fields()
@@ -141,22 +152,20 @@ def cmd_fields(args) -> int:
         summary["note"] = str(e)
     if args.full:
         summary["fields"] = table.to_json_dict()
-    dump_report(summary, args.out)
-    return EXIT_OK if summary["certified_step"] is not None else EXIT_INCONCLUSIVE
+    return summary, EXIT_OK if summary["certified_step"] is not None else EXIT_INCONCLUSIVE
 
 
-def cmd_torsion(args) -> int:
+def cmd_torsion(args) -> tuple[dict, int]:
     from .torsion import torsion_profile
 
     scene = _scene_from_args(args)
     beta = _parse_beta(args, scene)
     table = scene.word_table()
     prof = torsion_profile(table, beta, reversed_order=args.reversed)
-    dump_report(prof.to_json_dict(), args.out)
-    return EXIT_OK
+    return prof.to_json_dict(), EXIT_OK
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> tuple[dict, int]:
     from .polytope import extreme_and_minimal, lambda_table, newton_polytope, weight_spec
 
     scene = _scene_from_args(args)
@@ -165,43 +174,29 @@ def cmd_polytope(args) -> int:
     entries = lambda_table(table)
     poly = newton_polytope(entries, "union")
     report = {
-        "generators": sorted({tuple(e.deg) for e in entries}),
+        "generators": [list(g) for g in sorted({tuple(e.deg) for e in entries})],
         "classes": [
             {"words": [list(w) for w in e.words], "deg": list(e.deg)}
             for e in entries
         ],
     }
-    report["generators"] = [list(g) for g in report["generators"]]
-    if poly.is_empty():
-        report["extreme"] = []
-        report["minimal"] = []
-        report["weights"] = []
-    else:
-        em = extreme_and_minimal(poly)
-        report["extreme"] = [
-            [int(p[0]) if p[0].denominator == 1 else str(p[0]),
-             int(p[1]) if p[1].denominator == 1 else str(p[1])]
-            for p in em["extreme"]
-        ]
-        report["minimal"] = [list(p) for p in em["minimal"]]
-        report["weights"] = [
-            weight_spec(entries, b).to_json_dict() for b in em["minimal"]
-        ]
-    dump_report(report, args.out)
-    return EXIT_OK
+    em = {"extreme": [], "minimal": []} if poly.is_empty() else extreme_and_minimal(poly)
+    report["extreme"] = [[int(x) if x.denominator == 1 else str(x) for x in p]
+                         for p in em["extreme"]]
+    report["minimal"] = [list(p) for p in em["minimal"]]
+    report["weights"] = [weight_spec(entries, b).to_json_dict() for b in em["minimal"]]
+    return report, EXIT_OK
 
 
-def cmd_ccball(args) -> int:
+def cmd_ccball(args) -> tuple[dict, int]:
     from .ccballs import BallSpec, ball_sample, doubling_check, vitali_cover
     from .polytope import lambda_table
 
     scene = _scene_from_args(args)
     table = scene.word_table()
     nilpotency_step(table)
-    if args.seed is None:
-        args.seed = scene.seed
-    if args.samples is None:
-        args.samples = 10_000
+    seed = scene.seed if args.seed is None else args.seed
+    samples = args.samples or 10_000
     if args.check == "sample":
         if args.spec:
             with open(args.spec) as fh:
@@ -215,20 +210,13 @@ def cmd_ccball(args) -> int:
             entries = lambda_table(table)
             if not entries:
                 raise CliError("no nonzero lambda classes; supply --spec")
-            alpha = scene.alpha or (Fraction(1), Fraction(1))
-            spec = BallSpec(
-                center=tuple(Fraction(0) for _ in range(scene.dim)),
-                words=entries[0].words,
-                alpha=alpha,
-            )
-        sample = ball_sample(table, spec, args.samples, seed=args.seed)
-        report = sample.to_json_dict()
-        dump_report(report, args.out)
-        return EXIT_OK
+            spec = BallSpec(center=(Fraction(0),) * scene.dim, words=entries[0].words,
+                            alpha=scene.alpha or (Fraction(1), Fraction(1)))
+        return ball_sample(table, spec, samples, seed=seed).to_json_dict(), EXIT_OK
     entries = lambda_table(table)
     if args.check == "doubling":
-        x1 = _parse_vector(args.x1 or ",".join(["0"] * scene.dim), "--x1")
-        x2 = _parse_vector(args.x2 or ",".join(["0"] * scene.dim), "--x2")
+        x1 = _parse_point(args.x1, "--x1", scene.dim)
+        x2 = _parse_point(args.x2, "--x2", scene.dim)
         if not entries:
             raise CliError("no nonzero lambda classes; the doubling check "
                            "takes its ball words from one")
@@ -236,23 +224,17 @@ def cmd_ccball(args) -> int:
         report = doubling_check(
             table, entries, x1, x2, words, words,
             rho=args.rho, delta=args.delta,
-            n_samples=min(args.samples, 2000), seed=args.seed, c=args.c,
+            n_samples=min(samples, 2000), seed=seed, c=args.c,
         )
-        dump_report(report, args.out)
-        return EXIT_OK if report["verdict"] in ("Pass", "NotApplicable") \
+        return report, EXIT_OK if report["verdict"] in ("Pass", "NotApplicable") \
             else EXIT_INCONCLUSIVE
-    if args.check == "cover":
-        lo = [-0.5] * scene.dim
-        hi = [0.5] * scene.dim
-        report = vitali_cover(table, entries, lo, hi, rho=args.rho,
-                              delta=args.delta, grid=args.grid, c=args.c,
-                              seed=args.seed)
-        dump_report(report, args.out)
-        return EXIT_OK
-    raise CliError(f"unknown ccball check {args.check!r}")
+    report = vitali_cover(table, entries, [-0.5] * scene.dim, [0.5] * scene.dim,
+                          rho=args.rho, delta=args.delta, grid=args.grid, c=args.c,
+                          seed=seed)
+    return report, EXIT_OK
 
 
-def cmd_malcev(args) -> int:
+def cmd_malcev(args) -> tuple[dict, int]:
     from .nilpotent import (
         SingularAtOrigin,
         abstract_algebra,
@@ -266,7 +248,7 @@ def cmd_malcev(args) -> int:
     table = scene.word_table()
     step = nilpotency_step(table)
     alg = abstract_algebra(table, step)
-    x0 = _parse_vector(args.x0, "--x0") if args.x0 else [Fraction(0)] * scene.dim
+    x0 = _parse_point(args.x0, "--x0", scene.dim)
     report = {
         "dim": alg.dim,
         "step": alg.step,
@@ -290,11 +272,10 @@ def cmd_malcev(args) -> int:
     except SingularAtOrigin as e:
         report["covering_map"] = None
         report["covering_error"] = str(e)
-    dump_report(report, args.out)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
-def cmd_polyalg(args) -> int:
+def cmd_polyalg(args) -> tuple[dict, int]:
     from . import polyalg as pa
 
     option = {"monomialize": "poly", "sublevel": "poly", "refine": "set",
@@ -320,12 +301,14 @@ def cmd_polyalg(args) -> int:
             ],
             "diagnostics": cover.diagnostics,
         }
-        dump_report(report, args.out)
-        return EXIT_OK if cover.diagnostics.get("uncertified_pieces", 0) == 0 \
+        return report, EXIT_OK if cover.diagnostics.get("uncertified_pieces", 0) == 0 \
             else EXIT_INCONCLUSIVE
     if args.algorithm == "refine":
-        pairs = json.loads(args.set)
-        S = pa.IntervalSet.from_pairs(pairs)
+        try:
+            S = pa.IntervalSet.from_pairs(json.loads(args.set))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise CliError(f"bad --set: {args.set!r} (expected a JSON list of "
+                           f"[lo, hi] pairs of rationals)") from None
         r = pa.refine_interval(S, c=Fraction(args.c).limit_denominator(1000))
         report = {
             "J": [str(r["J"][0]), str(r["J"][1])],
@@ -335,8 +318,7 @@ def cmd_polyalg(args) -> int:
             "achieved_J_fraction": str(r["achieved_J_fraction"]),
             "iterations": r["iterations"],
         }
-        dump_report(report, args.out)
-        return EXIT_OK
+        return report, EXIT_OK
     if args.algorithm == "extract":
         coeffs = _parse_vector(args.coeffs, "--coeffs")
         r = pa.extract_two_terms(coeffs, args.k)
@@ -348,25 +330,18 @@ def cmd_polyalg(args) -> int:
             "achieved": None if r.achieved is None else str(r.achieved),
             "counterexample": None if r.counterexample is None else str(r.counterexample),
         }
-        dump_report(report, args.out)
-        return EXIT_OK
-    if args.algorithm == "sublevel":
-        if args.samples < 1:
-            raise CliError(f"--samples must be at least 1, got {args.samples}")
-        with open(args.poly) as fh:
-            data = json.load(fh)
-        if isinstance(data, list):
-            if len(data) != 1:
-                raise CliError("sublevel expects a single polynomial")
-            data = data[0]
-        poly = RatPoly.from_json_dict(data)
-        r = pa.sublevel_sweep(poly, n_samples=args.samples, seed=args.seed)
-        dump_report(r, args.out)
-        return EXIT_OK
-    raise CliError(f"unknown polyalg algorithm {args.algorithm!r}")
+        return report, EXIT_OK
+    with open(args.poly) as fh:
+        data = json.load(fh)
+    if isinstance(data, list):
+        if len(data) != 1:
+            raise CliError("sublevel expects a single polynomial")
+        data = data[0]
+    poly = RatPoly.from_json_dict(data)
+    return pa.sublevel_sweep(poly, n_samples=args.samples, seed=args.seed), EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, int]:
     from .torsion import torsion_profile
     from .verify import (
         BoxUnion,
@@ -384,11 +359,9 @@ def cmd_verify(args) -> int:
             # the closed forms take k as a float
             raise CliError(f"--k must be at most {sys.float_info.max:g}, "
                            f"got a {len(str(args.k))}-digit integer")
-        report = counterexample_2d(args.k)
-        dump_report(report, args.out)
-        return EXIT_OK
-    if args.samples is not None and args.samples < 1:
-        raise CliError(f"--samples must be at least 1, got {args.samples}")
+        return counterexample_2d(args.k), EXIT_OK
+    if args.band is not None and not -MAX_BAND <= args.band <= MAX_BAND:
+        raise CliError(f"--band must lie in [{-MAX_BAND}, {MAX_BAND}], got {args.band}")
     bands = _parse_bands(args.bands) if args.inequality == "scales" else None
     scene = _scene_from_args(args)
     if scene.domain is None:
@@ -398,45 +371,34 @@ def cmd_verify(args) -> int:
     prof = torsion_profile(table, beta)
     seed = args.seed if args.seed is not None else scene.seed
     samples = args.samples if args.samples is not None else scene.samples
+    # every estimator takes the torsion profile, the map pair and the domain
+    setting = (prof, scene.pi1, scene.pi2, scene.domain)
     if args.inequality == "rwt":
         if not scene.e1 or not scene.e2:
             raise CliError("rwt needs e1 and e2 box unions in the scene")
-        report = rwt_ratio(
-            BoxUnion(tuple(scene.e1)), BoxUnion(tuple(scene.e2)), prof,
-            scene.pi1, scene.pi2, scene.domain, band=args.band,
-            n_samples=samples, seed=seed,
-        )
-        dump_report(report, args.out)
-        return EXIT_OK
+        report = rwt_ratio(BoxUnion(tuple(scene.e1)), BoxUnion(tuple(scene.e2)), *setting,
+                           band=args.band, n_samples=samples, seed=seed)
+        return report, EXIT_OK
+    if not scene.f1 or not scene.f2:
+        raise CliError(f"{args.inequality} needs f1 and f2 step functions in the scene")
+    f1, f2 = StepFunction.from_levels(scene.f1), StepFunction.from_levels(scene.f2)
     if args.inequality == "strong":
-        if not scene.f1 or not scene.f2:
-            raise CliError("strong needs f1 and f2 step functions in the scene")
-        report = bilinear_form(
-            StepFunction.from_levels(scene.f1), StepFunction.from_levels(scene.f2),
-            prof, scene.pi1, scene.pi2, scene.domain,
-            n_samples=samples, seed=seed, band=args.band,
-        )
-        dump_report(report, args.out)
-        return EXIT_OK
-    if args.inequality == "scales":
-        if not scene.f1 or not scene.f2:
-            raise CliError("scales needs f1 and f2 step functions in the scene")
-        report = scale_profile(
-            StepFunction.from_levels(scene.f1), StepFunction.from_levels(scene.f2),
-            prof, scene.pi1, scene.pi2, scene.domain,
-            m_range=bands, n_samples=samples, seed=seed,
-        )
-        dump_report(report, args.out)
-        return EXIT_OK
-    raise CliError(f"unknown verify inequality {args.inequality!r}")
+        report = bilinear_form(f1, f2, *setting, n_samples=samples, seed=seed, band=args.band)
+    else:
+        report = scale_profile(f1, f2, *setting, m_range=bands, n_samples=samples, seed=seed)
+    return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
     p = argparse.ArgumentParser(prog="torsion-lab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scene=True):
+    def command(name, func, help, scene=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--samples", type=int, default=None)
         sp.add_argument("--out", type=str, default=None)
@@ -445,26 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
                             help="scene JSON path or builtin:<name>")
             sp.add_argument("--pi1", type=str, default=None)
             sp.add_argument("--pi2", type=str, default=None)
+        return sp
 
-    sp = sub.add_parser("fields", help="word table and nilpotency certificate")
-    common(sp)
+    sp = command("fields", cmd_fields, "word table and nilpotency certificate")
     sp.add_argument("--cap", type=int, default=None)
     sp.add_argument("--full", action="store_true", help="include field polynomials")
-    sp.set_defaults(func=cmd_fields)
 
-    sp = sub.add_parser("torsion", help="torsion profile for a multiindex")
-    common(sp)
+    sp = command("torsion", cmd_torsion, "torsion profile for a multiindex")
     sp.add_argument("--beta", type=str, default=None, help="comma list, e.g. 0,1,0")
     sp.add_argument("--reversed", action="store_true",
                     help="use the reversed-order flow map")
-    sp.set_defaults(func=cmd_torsion)
 
-    sp = sub.add_parser("polytope", help="Newton polytope and weights")
-    common(sp)
-    sp.set_defaults(func=cmd_polytope)
+    command("polytope", cmd_polytope, "Newton polytope and weights")
 
-    sp = sub.add_parser("ccball", help="ball sampling and covering probes")
-    common(sp)
+    sp = command("ccball", cmd_ccball, "ball sampling and covering probes")
     sp.add_argument("--check", choices=["sample", "doubling", "cover"],
                     default="sample")
     sp.add_argument("--spec", type=str, default=None, help="ball spec JSON")
@@ -474,14 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--c", type=float, default=0.125)
     sp.add_argument("--grid", type=int, default=3)
-    sp.set_defaults(func=cmd_ccball)
 
-    sp = sub.add_parser("malcev", help="abstract algebra, group law, covering map")
-    common(sp)
+    sp = command("malcev", cmd_malcev, "abstract algebra, group law, covering map")
     sp.add_argument("--x0", type=str, default=None, help="base point, comma list")
-    sp.set_defaults(func=cmd_malcev)
 
-    sp = sub.add_parser("polyalg", help="appendix polynomial algorithms")
+    sp = command("polyalg", cmd_polyalg, "appendix polynomial algorithms", scene=False)
+    sp.set_defaults(seed=0, samples=1 << 15)
     sp.add_argument("algorithm", choices=["monomialize", "refine", "extract", "sublevel"])
     sp.add_argument("--poly", type=str, default=None, help="polynomial JSON file")
     sp.add_argument("--eps", type=str, default="0.1")
@@ -489,28 +443,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=str, default="0.5")
     sp.add_argument("--coeffs", type=str, default=None)
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=1 << 15)
-    sp.add_argument("--out", type=str, default=None)
-    sp.set_defaults(func=cmd_polyalg)
 
-    sp = sub.add_parser("verify", help="numeric inequality checks")
+    sp = command("verify", cmd_verify, "numeric inequality checks")
     sp.add_argument("inequality", choices=["rwt", "strong", "scales", "counterexample2d"])
-    common(sp)
     sp.add_argument("--beta", type=str, default=None)
     sp.add_argument("--band", type=int, default=None)
     sp.add_argument("--bands", type=str, default="-4:4")
     sp.add_argument("--k", type=int, default=2)
-    sp.set_defaults(func=cmd_verify)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.samples is not None and args.samples < 1:
+            raise CliError(f"--samples must be at least 1, got {args.samples}")
+        report, code = args.func(args)
+        dump_report(report, args.out)
+        return code
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

@@ -105,7 +105,9 @@ class PolyVectorField:
         out = RatPoly.zero(self.dim)
         for j, comp in enumerate(self.components):
             if not comp.is_zero():
-                out = out + comp * f.partial(j)
+                df = f.partial(j)
+                if not df.is_zero():
+                    out = out + comp * df
         return out
 
     def divergence(self) -> RatPoly:
@@ -158,19 +160,11 @@ def hodge_star_field(pi: PolyMap) -> PolyVectorField:
 
 
 def lie_bracket(x: PolyVectorField, y: PolyVectorField) -> PolyVectorField:
-    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), exactly."""
+    """[X, Y]^i = X(Y^i) - Y(X^i), exactly."""
     if x.dim != y.dim:
         raise ValueError("bracket of fields with different dimensions")
-    comps = []
-    for i in range(x.dim):
-        acc = RatPoly.zero(x.dim)
-        for j in range(x.dim):
-            if not x.components[j].is_zero():
-                acc = acc + x.components[j] * y.components[i].partial(j)
-            if not y.components[j].is_zero():
-                acc = acc - y.components[j] * x.components[i].partial(j)
-        comps.append(acc)
-    return PolyVectorField(tuple(comps))
+    return PolyVectorField(tuple(x.apply_to(yi) - y.apply_to(xi)
+                                 for xi, yi in zip(x.components, y.components)))
 
 
 @dataclass

@@ -206,14 +206,6 @@ class AbstractNilpotent:
                 acc = acc + f.scale(c)
         return acc
 
-    def jacobi_defect(self, i: int, j: int, k: int) -> tuple[Fraction, ...]:
-        """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]]; zero when Jacobi holds."""
-        e = lambda idx: [Fraction(1 if t == idx else 0) for t in range(self.dim)]
-        a = self.bracket_vec(e(i), self.bracket_vec(e(j), e(k)))
-        b = self.bracket_vec(e(j), self.bracket_vec(e(k), e(i)))
-        c = self.bracket_vec(e(k), self.bracket_vec(e(i), e(j)))
-        return tuple(x + y + z for x, y, z in zip(a, b, c))
-
 
 @dataclass(frozen=True)
 class WordBasis:

@@ -249,13 +249,6 @@ class RatPoly:
             out[tuple(new)] = c * e
         return RatPoly._of(self.nvars, out)
 
-    def partial_multi(self, beta: Sequence[int]) -> "RatPoly":
-        p = self
-        for i, b in enumerate(beta):
-            for _ in range(b):
-                p = p.partial(i)
-        return p
-
     def compose(self, maps: Sequence["RatPoly"]) -> "RatPoly":
         """Substitute ``maps[i]`` for variable i.  All maps share one nvars."""
         if len(maps) != self.nvars:
@@ -414,20 +407,6 @@ class PolyMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> RatPoly:
         return self.entries[ij[0]][ij[1]]
-
-    def matmul(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        grid = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                s = RatPoly.zero(self.nvars)
-                for k in range(self.cols):
-                    s = s + self.entries[i][k] * other.entries[k][j]
-                row.append(s)
-            grid.append(tuple(row))
-        return PolyMatrix(self.rows, other.cols, tuple(grid))
 
     def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
         grid = tuple(

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -393,8 +396,61 @@ class TestContracts:
         # but round to 0 and 1 at denominator 10^6
         *((["polyalg", "monomialize", "--poly", "unread.json", "--eps", eps], "--eps")
           for eps in ("nan", "inf", "abc", "1/0", "-0.5", "1", "0.0000001", "0.9999999")),
+        # 2.0 ** (band + 1) overflows a float beyond band 1022
+        (["verify", "rwt", "--scene", "builtin:moment2", "--band", "1023"], "--band must"),
+        (["verify", "strong", "--scene", "builtin:moment2", f"--band=-{10**400}"],
+         "--band must"),
+        (["verify", "scales", "--scene", "builtin:moment2", "--bands=0:1023"], "--bands"),
+        (["malcev", "--scene", "builtin:moment2", "--x0", "0,0"], "--x0"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "doubling", "--x1", "0,0"],
+         "--x1"),
+        (["ccball", "--scene", "builtin:moment2", "--check", "doubling",
+          "--x2", "0,0,0,0"], "--x2"),
+        (["polyalg", "refine", "--set", "[[0]]"], "--set"),
+        (["polyalg", "refine", "--set", "[[0, 1], 2]"], "--set"),
+        (["polyalg", "refine", "--set", "abc"], "--set"),
+        *((["ccball", "--scene", "builtin:moment2", "--check", check, "--samples", "0"],
+           "--samples must be at least 1, got 0") for check in ("sample", "cover")),
     ])
     def test_missing_or_bad_option_is_named(self, args, option, capsys):
         code = main(args)
         assert code == 2
         assert option in capsys.readouterr().err
+
+
+def test_main_is_reusable_in_one_process(scene_file, tmp_path):
+    # one parser serves every call: no option value may leak into a later job
+    import torsionlab
+
+    poly = tmp_path / "t.json"
+    poly.write_text(json.dumps(RatPoly.variable(1, 0).to_json_dict()))
+    jobs = [
+        ["ccball", "--scene", "builtin:moment2", "--samples", "300", "--seed", "5"],
+        ["ccball", "--scene", "builtin:moment2", "--samples", "300"],
+        ["fields", "--scene", "builtin:moment2", "--cap", "4"],
+        ["fields", "--scene", "builtin:moment2"],
+        ["verify", "strong", "--scene", scene_file, "--samples", "500", "--seed", "3"],
+        ["verify", "strong", "--scene", scene_file],
+        ["polyalg", "sublevel", "--poly", str(poly), "--samples", "256"],
+        ["polyalg", "refine", "--set", "[[0, 1]]"],
+    ]
+    rounds = []
+    for r in range(2):
+        outs = []
+        for k, argv in enumerate(jobs):
+            out = tmp_path / f"round{r}-{k}.json"
+            assert main([*argv, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        rounds.append(outs)
+    assert rounds[0] == rounds[1]
+    assert rounds[0][0] != rounds[0][1]
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for k, argv in enumerate(jobs):
+        out = tmp_path / f"fresh-{k}.json"
+        proc = subprocess.run([sys.executable, "-m", "torsionlab.cli", *argv,
+                               "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == rounds[0][k], argv

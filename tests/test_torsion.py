@@ -218,7 +218,10 @@ class TestJacobianDerivative:
         n = psi.dim
         for beta in [(0, 1, 2, 0), (1, 1, 1, 0), (0, 0, 0, 0), (2, 0, 1, 0)]:
             full_beta = [0] * n + list(beta)
-            derived = psi.jac_det.partial_multi(full_beta)
+            derived = psi.jac_det
+            for i, b in enumerate(full_beta):
+                for _ in range(b):
+                    derived = derived.partial(i)
             at_zero = derived.compose(
                 RatPoly.variables(2 * n)[:n] + [RatPoly.zero(2 * n)] * n)
             direct = jacobian_derivative(psi, beta)
