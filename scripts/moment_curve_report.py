@@ -14,7 +14,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from torsionlab.geometry import nilpotency_step
 from torsionlab.nilpotent import abstract_algebra, group_law, weak_malcev
 from torsionlab.polytope import extreme_and_minimal, lambda_table, newton_polytope, weight_spec
 from torsionlab.scenes import moment_curve_scene
@@ -25,17 +24,16 @@ def main() -> None:
     d = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     scene = moment_curve_scene(d)
     table = scene.word_table()
-    step = nilpotency_step(table)
+    alg = abstract_algebra(table)
     entries = lambda_table(table)
     poly = newton_polytope(entries, "union")
     em = extreme_and_minimal(poly)
     prof = torsion_profile(table, scene.beta)
-    alg = abstract_algebra(table, step)
     gl = group_law(weak_malcev(alg, []))
     report = {
         "d": d,
         "nonzero_words": [list(w) for w in table.words()],
-        "certified_step": step,
+        "certified_step": alg.step,
         "lambda_classes": [
             {"words": [list(w) for w in e.words], "deg": list(e.deg),
              "poly": repr(e.poly)}

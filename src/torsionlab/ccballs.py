@@ -36,6 +36,8 @@ from .torsion import iter_flow
 
 # rows per newton_preimage call in BallMap.members; the qmc_mean shard size
 CHUNK_ROWS = 65536
+# most candidate centers vitali_cover lays out: grid ** dim points of dim floats
+MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -299,11 +301,14 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     inflated radius c * rho.
     """
     _check_ball_params(rho, delta, c)
+    n = table.dim
     if grid < 1:
         raise ValueError(f"grid must be at least 1, got {grid}")
+    if grid ** n > MAX_GRID_POINTS:
+        raise ValueError(f"grid ** {n} must be at most {MAX_GRID_POINTS} candidate "
+                         f"points, got grid {grid}")
     lo = np.asarray(region_lo, dtype=float)
     hi = np.asarray(region_hi, dtype=float)
-    n = table.dim
     mid = [Fraction(a + b).limit_denominator(10**6) / 2 for a, b in zip(region_lo, region_hi)]
     if not entries:
         return {"centers": [], "count": 0, "covered_fraction": None,

@@ -245,9 +245,7 @@ def cmd_malcev(args) -> tuple[dict, int]:
     )
 
     scene = _scene_from_args(args)
-    table = scene.word_table()
-    step = nilpotency_step(table)
-    alg = abstract_algebra(table, step)
+    alg = abstract_algebra(scene.word_table())
     x0 = _parse_point(args.x0, "--x0", scene.dim)
     report = {
         "dim": alg.dim,
@@ -309,7 +307,14 @@ def cmd_polyalg(args) -> tuple[dict, int]:
         except (TypeError, ValueError, ZeroDivisionError):
             raise CliError(f"bad --set: {args.set!r} (expected a JSON list of "
                            f"[lo, hi] pairs of rationals)") from None
-        r = pa.refine_interval(S, c=Fraction(args.c).limit_denominator(1000))
+        try:
+            c = Fraction(args.c).limit_denominator(1000)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"bad --c: {args.c!r} (expected a rational)") from None
+        try:
+            r = pa.refine_interval(S, c=c)
+        except pa.HypothesisNotMet as e:
+            raise CliError(f"bad --set: {args.set!r} ({e})") from None
         report = {
             "J": [str(r["J"][0]), str(r["J"][1])],
             "K": [str(r["K"][0]), str(r["K"][1])],

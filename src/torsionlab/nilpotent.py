@@ -1,15 +1,17 @@
-"""Abstract nilpotent layer: structure constants, Malcev coordinates, group law.
+"""Abstract nilpotent layer: ad matrices, Malcev coordinates, group law.
 
 The concrete bracket fields of a WordTable span a finite-dimensional Lie
 algebra over Q.  This module extracts a basis by exact linear algebra on
-coefficient vectors, expresses every bracket in that basis, and then works
-abstractly: weak Malcev bases through a prescribed subalgebra, the
-polynomial group law in Malcev coordinates, and the covering map built from
-flows at a base point.
+coefficient vectors and reads the bracket off the word table: the matrix of
+ad E_i on the span is a commutator of the letters' ad matrices, whose
+columns are word coordinates.  These ad matrices are the one form of the
+bracket.  The rest works abstractly: weak Malcev bases through a prescribed
+subalgebra, the polynomial group law in Malcev coordinates, and the
+covering map built from flows at a base point.
 
 All exact linear algebra over Q lives here.  ``Span`` is the one answer to
 "coordinates in, or defect from, the span of these vectors", for word
-coordinates, Malcev structure constants and the normalizer chain.
+coordinates, the Malcev ad matrices and the normalizer chain.
 ``exp_neg_ad`` is the one exp(-s ad A) series, for the torsion Jacobian's
 pushforward columns and the group law's Maurer-Cartan matrix.  Flows are
 composed by ``geometry.compose_flow``; Jacobians are ``PolyMatrix.jacobian``.
@@ -34,12 +36,9 @@ from .geometry import (
     WordTable,
     compose_flow,
     lie_series_flow,
+    nilpotency_step,
 )
 from .polycore import PolyMatrix, RatPoly
-
-
-class DependentBracket(ArithmeticError):
-    """A bracket left the rational span of the stored fields."""
 
 
 class NotASubalgebra(ValueError):
@@ -164,37 +163,27 @@ def _field_vector(f: PolyVectorField, index: dict) -> list[Fraction]:
 
 @dataclass
 class AbstractNilpotent:
-    """Nilpotent Lie algebra presented by exact structure constants.
+    """Nilpotent Lie algebra presented by exact ad matrices.
 
-    ``struct[(i, j)]`` for i < j holds the coordinates of [e_i, e_j] in the
-    chosen basis; antisymmetry fills in the rest.
+    Column k of ``ad[i]`` holds the coordinates of [e_i, e_k] in the basis.
     """
 
     dim: int
     basis_words: tuple[Word, ...]
     basis_fields: tuple[PolyVectorField, ...]
-    struct: dict[tuple[int, int], tuple[Fraction, ...]]
+    ad: list[list[list[Fraction]]]
     step: int
 
-    def bracket_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        if i < j:
-            return self.struct[(i, j)]
-        return tuple(-c for c in self.struct[(j, i)])
-
     def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        """Bilinear bracket of rational coefficient vectors."""
+        """Bilinear bracket of rational coefficient vectors: sum_i u_i ad[i] v."""
         out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                for k, ck in enumerate(self.bracket_basis(i, j)):
-                    if ck != 0:
-                        out[k] += ui * vj * ck
+        nz = [(k, x) for k, x in enumerate(v) if x]
+        for ui, a in zip(u, self.ad):
+            if ui:
+                for r, row in enumerate(a):
+                    for k, x in nz:
+                        if row[k]:
+                            out[r] += ui * row[k] * x
         return out
 
     def element_field(self, coeffs: Sequence[Fraction]) -> PolyVectorField:
@@ -301,8 +290,15 @@ class BasisFrame:
         if len(w) == 1:
             return a
         b = self.ad(w[1:])
-        return [[sum(a[r][m] * b[m][c] - b[r][m] * a[m][c] for m in range(len(a)))
-                 for c in range(len(a))] for r in range(len(a))]
+        out = [[Fraction(0)] * len(a) for _ in a]
+        for x, y, sign in ((a, b, 1), (b, a, -1)):  # ab - ba, skipping zeros
+            for acc, row in zip(out, x):
+                for m, xm in enumerate(row):
+                    if xm:
+                        for c, ymc in enumerate(y[m]):
+                            if ymc:
+                                acc[c] += sign * xm * ymc
+        return out
 
 
 def basis_frame(table: WordTable) -> BasisFrame:
@@ -330,33 +326,26 @@ def basis_frame(table: WordTable) -> BasisFrame:
     return table._frame
 
 
-def abstract_algebra(table: WordTable, step: int) -> AbstractNilpotent:
-    """Basis and exact structure constants of the algebra a table spans.
+def abstract_algebra(table: WordTable) -> AbstractNilpotent:
+    """Basis, certified step and exact ad matrices of the algebra a table spans.
 
-    The basis is the greedy one of ``word_basis``; every pairwise bracket is
-    then expressed in that basis.  A bracket outside the span raises
-    DependentBracket (it signals an incomplete table, not a recoverable state).
+    The basis is the greedy one of ``word_basis``, and ad E_i is read off the
+    table's ``basis_frame`` as ``frame.ad`` of basis word i.
+    ``nilpotency_step`` raises NotNilpotentWithinCap unless every nonzero
+    word is shorter than the cap.  Then each (i,) + w for a basis word w is
+    a table word or vanished within the cap, so the frame's ``letter_ad`` is
+    set and the span is closed under the bracket.
     """
     if not table.words():
         raise ValueError("empty word table")
-    basis = word_basis(table)
-    struct: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    fields = basis.fields
-    from .geometry import lie_bracket
-
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            coeffs = basis.coordinates(lie_bracket(fields[i], fields[j]))
-            if coeffs is None:
-                raise DependentBracket(
-                    f"[{basis.words[i]}, {basis.words[j]}] escapes the stored span"
-                )
-            struct[(i, j)] = coeffs
+    step = nilpotency_step(table)
+    frame = basis_frame(table)
+    words = frame.basis.words
     return AbstractNilpotent(
-        dim=len(fields),
-        basis_words=basis.words,
-        basis_fields=fields,
-        struct=struct,
+        dim=len(words),
+        basis_words=words,
+        basis_fields=frame.basis.fields,
+        ad=[frame.ad(w) for w in words],
         step=step,
     )
 
@@ -468,25 +457,19 @@ class GroupLaw:
         return len(self.q)
 
 
-def _malcev_struct(basis: MalcevBasis) -> AbstractNilpotent:
-    """Re-express the algebra in the Malcev basis coordinates."""
+def _malcev_struct(basis: MalcevBasis) -> list[list[list[Fraction]]]:
+    """The ad matrices in Malcev coordinates: column j of the i-th holds the
+    coordinates of [m_i, m_j] in the basis m, filled in by antisymmetry."""
     alg = basis.algebra
     N = alg.dim
     mats = [list(e) for e in basis.elements]
     span = Span(mats, N)
-    if span.rank != N:
-        raise DependentBracket("Malcev basis does not span")
-    struct: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for i in range(N):
-        for j in range(i + 1, N):
-            struct[(i, j)] = span.coords(alg.bracket_vec(mats[i], mats[j]))
-    return AbstractNilpotent(
-        dim=N,
-        basis_words=alg.basis_words,
-        basis_fields=alg.basis_fields,
-        struct=struct,
-        step=alg.step,
-    )
+    ads = [[[Fraction(0)] * N for _ in range(N)] for _ in range(N)]
+    for i, j in itertools.combinations(range(N), 2):
+        for r, c in enumerate(span.coords(alg.bracket_vec(mats[i], mats[j]))):
+            ads[i][r][j] = c
+            ads[j][r][i] = -c
+    return ads
 
 
 def group_law(basis: MalcevBasis) -> GroupLaw:
@@ -500,11 +483,9 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
     with Ad(psi(x)^-1) = exp(-x_(N-1) ad e_(N-1)) ... exp(-x_0 ad e_0); both
     flows hold x2 constant and terminate because the law is polynomial.
     """
-    alg = _malcev_struct(basis)
-    N = alg.dim
+    ads = _malcev_struct(basis)
+    N = len(ads)
     nv = 2 * N
-    ads = [[list(row) for row in zip(*(alg.bracket_basis(i, k) for k in range(N)))]
-           for i in range(N)]
     xs = RatPoly.variables(nv)
     one = RatPoly.const(nv, 1)
 

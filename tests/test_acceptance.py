@@ -170,10 +170,9 @@ def test_criterion_4_exact_invariant_suite(group_law_flows):
         # abstract layer: the Malcev group law against concrete flows at one
         # rational pair (the corpus draw keeps plenty of step <= 3 instances)
         table = build_word_table(X1, X2, 7)
-        step = nilpotency_step(table)
-        alg = abstract_algebra(table, step)
-        if step <= 3:
-            low_step_instances.append(step)
+        alg = abstract_algebra(table)
+        if alg.step <= 3:
+            low_step_instances.append(alg.step)
         # three rational vectors per instance keep the corpus's draws; the
         # pair is the first two
         x1, x2, _ = ([F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(alg.dim)]

@@ -411,6 +411,11 @@ class TestContracts:
         (["polyalg", "refine", "--set", "abc"], "--set"),
         *((["ccball", "--scene", "builtin:moment2", "--check", check, "--samples", "0"],
            "--samples must be at least 1, got 0") for check in ("sample", "cover")),
+        (["polyalg", "refine", "--set", "[]"], "--set"),
+        (["polyalg", "refine", "--set", "[[0, 1]]", "--c", "x"], "--c"),
+        # 100000 ** 3 candidate centers would need petabytes; rejected unallocated
+        (["ccball", "--scene", "builtin:moment2", "--check", "cover", "--grid", "100000"],
+         "grid"),
     ])
     def test_missing_or_bad_option_is_named(self, args, option, capsys):
         code = main(args)

@@ -1,4 +1,4 @@
-"""Abstract algebra layer: structure constants, Malcev bases, group law.
+"""Abstract algebra layer: ad matrices, Malcev bases, group law.
 
 The Dynkin series for log(e^u e^v) lives here, not in the package, as an
 independent reference that the group law is checked against.
@@ -13,14 +13,16 @@ from fractions import Fraction
 import pytest
 
 from torsionlab.geometry import (
+    NotNilpotentWithinCap,
     PolyMap,
     PolyVectorField,
     build_word_table,
     hodge_star_field,
+    lie_bracket,
     lie_series_flow,
-    nilpotency_step,
 )
 from torsionlab.nilpotent import (
+    AbstractNilpotent,
     NotASubalgebra,
     SingularAtOrigin,
     Span,
@@ -34,7 +36,7 @@ from torsionlab.nilpotent import (
     word_basis,
 )
 from torsionlab.polycore import RatPoly
-from torsionlab.scenes import moment_curve_scene, power2d_scene
+from torsionlab.scenes import Scene, builtin_scene, curve_maps, moment_curve_scene, power2d_scene
 
 
 def rational_vec(rng, dim, scale=3):
@@ -103,9 +105,9 @@ def bch(alg, u, v):
     return out
 
 
-def malcev_at(table, x0, step):
+def malcev_at(table, x0):
     """Weak Malcev basis through the isotropy subalgebra at x0."""
-    alg = abstract_algebra(table, step)
+    alg = abstract_algebra(table)
     return weak_malcev(alg, isotropy_subalgebra(alg, x0))
 
 
@@ -115,7 +117,7 @@ def malcev_law(name, x0):
     scene = {"moment2": moment_curve_scene(2), "moment3": moment_curve_scene(3),
              "power2d_k3": power2d_scene(3)}[name]
     table = scene.word_table()
-    basis = malcev_at(table, [x0] * table.dim, nilpotency_step(table))
+    basis = malcev_at(table, [x0] * table.dim)
     return basis, group_law(basis)
 
 
@@ -156,23 +158,34 @@ class TestSpan:
     @pytest.mark.parametrize("name", ["moment3", "power2d_k3"])
     def test_malcev_struct_matches_direct_solve(self, name, moment3):
         table = moment3["table"] if name == "moment3" else power2d_scene(3).word_table()
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         basis = weak_malcev(alg, isotropy_subalgebra(alg, [0] * table.dim))
         mats = [list(e) for e in basis.elements]
         N = alg.dim
-        struct = _malcev_struct(basis).struct
-        assert len(struct) == N * (N - 1) // 2
-        for (i, j), coeffs in struct.items():
+        ads = _malcev_struct(basis)
+        assert len(ads) == N
+        for i, j in itertools.product(range(N), repeat=2):
             br = alg.bracket_vec(mats[i], mats[j])
             rref, pivots = _echelon([[m[r] for m in mats] + [br[r]] for r in range(N)])
             assert pivots == list(range(N))
-            assert coeffs == tuple(row[N] for row in rref)
+            assert [row[j] for row in ads[i]] == [row[N] for row in rref]
 
 
 @pytest.fixture(scope="module")
 def heis(moment2):
     table = moment2["table"]
-    return abstract_algebra(table, nilpotency_step(table))
+    return abstract_algebra(table)
+
+
+def seeded_curve_table(seed):
+    """gamma(t) = (t + a t^2, b t^2 + c t^3) with small nonzero rationals."""
+    rng = random.Random(seed)
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+    pi1, pi2 = curve_maps([[0, 1, coef()], [0, 0, coef(), coef()]])
+    return Scene(pi1=pi1, pi2=pi2, beta=(0, 1, 0), cap=6).word_table()
 
 
 class TestAbstractAlgebra:
@@ -180,24 +193,45 @@ class TestAbstractAlgebra:
         assert heis.dim == 3
         assert heis.basis_words == ((1,), (2,), (1, 2))
         assert heis.step == 2
-        assert heis.struct[(0, 1)] == (0, 0, 1)      # [X1, X2] = X12
-        assert heis.struct[(1, 2)] == (0, 0, 0)      # X12 central
-        assert heis.struct[(0, 2)] == (0, 0, 0)
+        # column k of ad[i] is [e_i, e_k]: [X1, X2] = X12 and X12 is central
+        zero = [[0, 0, 0]] * 3
+        assert heis.ad == [[[0, 0, 0], [0, 0, 0], [0, 1, 0]],
+                           [[0, 0, 0], [0, 0, 0], [-1, 0, 0]],
+                           zero]
+
+    @pytest.mark.parametrize("name", ["moment2", "moment3", "moment4", "moment5",
+                                      "power2d_k2", "power2d_k3", "curve"])
+    def test_ad_matches_field_brackets(self, name):
+        # the reference: every bracket of basis fields, solved in the word basis
+        table = seeded_curve_table(1007) if name == "curve" else \
+            builtin_scene(name).word_table()
+        alg = abstract_algebra(table)
+        basis = word_basis(table)
+        assert alg.basis_words == basis.words
+        for i, k in itertools.product(range(alg.dim), repeat=2):
+            ref = basis.coordinates(lie_bracket(basis.fields[i], basis.fields[k]))
+            assert tuple(row[k] for row in alg.ad[i]) == ref, (i, k)
+
+    def test_uncertified_table_rejected(self):
+        # moment3 has nonzero words of length 3, so cap 3 certifies nothing
+        table = build_word_table(*moment_curve_scene(3).fields(), 3)
+        with pytest.raises(NotNilpotentWithinCap):
+            abstract_algebra(table)
 
     def test_abelian_pair(self):
         xs = RatPoly.variables(2)
         X1 = hodge_star_field(PolyMap((xs[0],)))
         X2 = hodge_star_field(PolyMap((xs[1],)))
         table = build_word_table(X1, X2, 3)
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         assert alg.step == 1
-        assert all(all(c == 0 for c in v) for v in alg.struct.values())
+        assert alg.ad == [[[0, 0], [0, 0]]] * 2
 
     def test_moment3_dimension(self, moment3):
         # X112 = X212 exactly for the cubic moment curve, so four independent
         # fields survive: X1, X2, X12, X112
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         assert alg.dim == 4
         assert alg.step == 3
         assert alg.basis_words == ((1,), (2,), (1, 2), (1, 1, 2))
@@ -222,7 +256,7 @@ class TestAbstractAlgebra:
 
     def test_jacobi_exact(self, moment3):
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         e = [[Fraction(int(t == i)) for t in range(alg.dim)] for i in range(alg.dim)]
         for i, j, k in itertools.combinations(range(alg.dim), 3):
             terms = [alg.bracket_vec(e[a], alg.bracket_vec(e[b], e[c]))
@@ -236,7 +270,7 @@ class TestBCH:
         X1 = hodge_star_field(PolyMap((xs[0],)))
         X2 = hodge_star_field(PolyMap((xs[1],)))
         table = build_word_table(X1, X2, 3)
-        alg = abstract_algebra(table, 1)
+        alg = abstract_algebra(table)
         u = [Fraction(2), Fraction(1, 3)]
         v = [Fraction(-1), Fraction(5)]
         assert bch(alg, u, v) == [u[0] + v[0], u[1] + v[1]]
@@ -248,7 +282,7 @@ class TestBCH:
 
     def test_associativity_step3(self, moment3):
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         rng = random.Random(31)
         for _ in range(8):
             x = rational_vec(rng, alg.dim)
@@ -266,7 +300,7 @@ class TestBCH:
     def test_concrete_flow_consistency(self, moment3):
         """flow(bch(U, V)) at time 1 equals flow(V) after flow(U), exactly."""
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         n = table.dim
         rng = random.Random(12)
         xs = RatPoly.variables(n)
@@ -323,7 +357,7 @@ class TestWeakMalcev:
 
     def test_moment3_chain(self, moment3):
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         z = isotropy_subalgebra(alg, [0, 0, 0, 0])
         basis = weak_malcev(alg, z)
         for k in range(alg.dim + 1):
@@ -336,7 +370,7 @@ class TestGroupLaw:
         X1 = hodge_star_field(PolyMap((xs[0],)))
         X2 = hodge_star_field(PolyMap((xs[1],)))
         table = build_word_table(X1, X2, 3)
-        alg = abstract_algebra(table, 1)
+        alg = abstract_algebra(table)
         basis = weak_malcev(alg, [])
         gl = group_law(basis)
         nv = 2 * alg.dim
@@ -355,7 +389,7 @@ class TestGroupLaw:
 
     def test_identity_at_zero(self, moment3):
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         basis = weak_malcev(alg, [])
         gl = group_law(basis)
         N = alg.dim
@@ -368,7 +402,7 @@ class TestGroupLaw:
         # group_law itself asserts det == 1 and triangularity; make sure the
         # exercise covers a step-3 algebra and check q1 depends on x1_1, x2
         table = moment3["table"]
-        alg = abstract_algebra(table, nilpotency_step(table))
+        alg = abstract_algebra(table)
         basis = weak_malcev(alg, [])
         gl = group_law(basis)
         N = alg.dim
@@ -403,8 +437,10 @@ class TestGroupLaw:
         # psi(r) = psi(x1) e^x2 and psi(q) = e^x2 psi(x1), with psi(x) =
         # e^(x_0 e_0) ... e^(x_(N-1) e_(N-1)) in the Malcev basis
         basis, gl = malcev_law(name, x0)
-        alg = _malcev_struct(basis)
-        N = alg.dim
+        N = basis.algebra.dim
+        # no concrete fields: this algebra is only ever bracketed
+        alg = AbstractNilpotent(dim=N, basis_words=(), basis_fields=(),
+                                ad=_malcev_struct(basis), step=basis.algebra.step)
 
         def log_psi(x):
             acc = [Fraction(0)] * N
@@ -422,7 +458,7 @@ class TestGroupLaw:
 
 class TestCoveringMap:
     def test_moment2_chart(self, moment2):
-        cm = covering_map(malcev_at(moment2["table"], [0, 0, 0], 2), [0, 0, 0])
+        cm = covering_map(malcev_at(moment2["table"], [0, 0, 0]), [0, 0, 0])
         assert cm.jacobian_det_at_origin != 0
         assert cm.diagnostics["det_matches_frame_up_to_sign"]
         assert cm.diagnostics["pullback_fd_check"]["worst_first_order_defect"] < 1e-3
@@ -435,7 +471,7 @@ class TestCoveringMap:
         X2 = hodge_star_field(PolyMap((xs[1],)))
         table = build_word_table(X1, X2, 3)
         x0 = [Fraction(1, 2), Fraction(1, 3)]
-        cm = covering_map(malcev_at(table, x0, 1), x0)
+        cm = covering_map(malcev_at(table, x0), x0)
         assert all(m.total_degree() <= 1 for m in cm.map)
 
     def test_deficient_span_rejected(self):
@@ -443,12 +479,12 @@ class TestCoveringMap:
         pi1 = PolyMap((xs[0], xs[1]))
         pi2 = PolyMap((xs[0] - xs[2] ** 2, xs[1]))
         table = build_word_table(hodge_star_field(pi1), hodge_star_field(pi2), 5)
-        basis = malcev_at(table, [0, 0, 0], nilpotency_step(table))
+        basis = malcev_at(table, [0, 0, 0])
         with pytest.raises(SingularAtOrigin):
             covering_map(basis, [0, 0, 0])
 
     def test_isotropy_at_generic_point(self, moment2):
         table = moment2["table"]
-        alg = abstract_algebra(table, 2)
+        alg = abstract_algebra(table)
         z = isotropy_subalgebra(alg, [0, 0, 0])
         assert z == []  # all three basis fields are independent at the origin
