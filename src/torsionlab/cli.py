@@ -133,6 +133,9 @@ def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
             raise bad from None
         if min(beta) < 0:
             raise bad
+        if len(beta) != scene.dim:
+            raise CliError(f"bad --beta: {args.beta!r} has {len(beta)} entries, "
+                           f"expected {scene.dim}")
         return beta
     if scene.beta is not None:
         return scene.beta
@@ -140,8 +143,10 @@ def _parse_beta(args, scene: Scene) -> tuple[int, ...]:
 
 
 def cmd_fields(args) -> tuple[dict, int]:
+    if args.cap is not None and args.cap < 1:
+        raise CliError(f"--cap must be at least 1, got {args.cap}")
     scene = _scene_from_args(args)
-    cap = args.cap or scene.cap
+    cap = scene.cap if args.cap is None else args.cap
     x1, x2 = scene.fields()
     table = build_word_table(x1, x2, cap)
     summary = table.summary()
@@ -326,6 +331,10 @@ def cmd_polyalg(args) -> tuple[dict, int]:
         return report, EXIT_OK
     if args.algorithm == "extract":
         coeffs = _parse_vector(args.coeffs, "--coeffs")
+        if min(coeffs) < 0:
+            raise CliError(f"bad --coeffs: {args.coeffs!r} (expected nonnegative rationals)")
+        if args.k < 0:
+            raise CliError(f"--k must be nonnegative, got {args.k}")
         r = pa.extract_two_terms(coeffs, args.k)
         report = {
             "kind": r.kind,

@@ -12,7 +12,8 @@ the top.  Interval endpoints and thresholds stay rational wherever a decision
 is made.  The monomialization covers use no floats at all: their cuts are
 Sturm-isolated roots, recovered exactly when rational and bracketed by hairline
 rational gutters otherwise.  Floats appear only in diagnostics and in the
-numeric probes (sublevel sampling, the tangency scan).
+numeric probes (sublevel sampling, the tangency scan); numpy is imported
+inside the four functions that use it, so the exact algorithms run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .polycore import RatPoly
 
@@ -457,6 +456,8 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
     stopping time.  The ratio is reported, not asserted; regression floors
     live in the test corpus.
     """
+    import numpy as np
+
     coeffs = from_ratpoly(P) if isinstance(P, RatPoly) else [Fraction(x) for x in P]
     r = refine_interval(S, c=c)
     J = r["J"]
@@ -495,6 +496,8 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
 def sublevel_measure(P: RatPoly, eps: float, n_samples: int = 1 << 15,
                      seed: int = 0) -> dict:
     """QMC estimate of |{x in [-1,1]^n : |P(x)| < eps * sup |P|}|."""
+    import numpy as np
+
     from .numeric import MapEvaluator
     from .sampling import halton
 
@@ -511,6 +514,8 @@ def sublevel_measure(P: RatPoly, eps: float, n_samples: int = 1 << 15,
 def sublevel_sweep(P: RatPoly, eps_list: Sequence[float] | None = None,
                    n_samples: int = 1 << 15, seed: int = 0) -> dict:
     """Dyadic eps sweep with a least-squares fit of the scaling exponent."""
+    import numpy as np
+
     if eps_list is None:
         eps_list = [2.0 ** (-k) for k in range(2, 9)]
     rows = []
@@ -533,15 +538,6 @@ class MonomialPiece:
     exponents: tuple[int, ...]   # k_{j,p} per input polynomial
     certified: bool = True       # False for root gutters and failed sweep steps
 
-    def contains_samples(self, count: int) -> list[Fraction]:
-        """Deterministic sample points inside the open piece."""
-        if self.lo is not None and self.hi is not None:
-            a, b = self.lo, self.hi
-            return [a + (b - a) * Fraction(i + 1, count + 1) for i in range(count)]
-        anchor = self.lo if self.lo is not None else self.hi
-        sign = 1 if self.lo is not None else -1
-        return [anchor + sign * Fraction(2, 1) ** i for i in range(count)]
-
 
 @dataclass
 class MonomialCover:
@@ -549,35 +545,41 @@ class MonomialCover:
     eps: Fraction
     diagnostics: dict = field(default_factory=dict)
 
-    def verify_samples(self, polys: Sequence[list[Fraction]], count: int = 64) -> bool:
-        """Domination inequality at ``count`` samples of every certified piece.
+    def verify(self, polys: Sequence[list[Fraction]]) -> bool:
+        """Exactly decide the domination inequality on every certified closed piece.
 
         A piece with one exponent for several polynomials comes from a curve
-        cover and is checked on |gamma|; both kinds compare squared magnitudes
-        against eps^2.  Gutter pieces (hairline brackets around irrational
-        real roots, where no rational-data piece can satisfy the inequality)
-        are skipped; their total measure is in the diagnostics.
+        cover and is checked on |gamma|; both kinds compare squared Taylor
+        magnitudes at the center, in Fractions, against eps^2 times the
+        dominant one.  Each comparison is monotone in |t - center|: a lower
+        term is tested at the piece's near distance (0 when the piece holds
+        its center), a higher term at its far distance, and an unbounded side
+        admits no nonzero higher term.  Gutter pieces (hairline brackets
+        around irrational real roots, where no rational-data piece can satisfy
+        the inequality) are skipped; their total measure is in the diagnostics.
         """
         eps2 = self.eps * self.eps
         for piece in self.pieces:
             if not piece.certified:
                 continue
+            lo, hi, c = piece.lo, piece.hi, piece.center
+            dists = [None if x is None else abs(x - c) for x in (lo, hi)]
+            holds_center = (lo is None or lo <= c) and (hi is None or c <= hi)
+            near2 = 0 if holds_center else min(d for d in dists if d is not None) ** 2
+            far2 = None if None in dists else max(dists) ** 2
             curve = len(piece.exponents) == 1 < len(polys)
-            groups = [polys] if curve else [[p] for p in polys]
-            samples = piece.contains_samples(count)
-            for group, k_star in zip(groups, piece.exponents):
-                sq = _vector_taylor_sq(group, piece.center)
-                if k_star >= len(sq) or sq[k_star] == 0:
-                    if any(sq):
-                        return False
-                    continue
-                for t in samples:
-                    d2 = (t - piece.center) ** 2
-                    lead = sq[k_star] * d2 ** k_star
-                    if any(k != k_star and c * d2 ** k > eps2 * lead
-                           for k, c in enumerate(sq)):
-                        return False
+            for group, k_star in zip([polys] if curve else [[p] for p in polys], piece.exponents):
+                sq = _vector_taylor_sq(group, c)
+                bound = eps2 * (sq[k_star] if k_star < len(sq) else 0)
+                if any(s > bound * near2 ** (k_star - k) for k, s in enumerate(sq[:k_star])):
+                    return False
+                if any(s and (far2 is None or s * far2 ** m > bound)
+                       for m, s in enumerate(sq[k_star + 1:], 1)):
+                    return False
         return True
+
+    def verify_samples(self, polys, count=None) -> bool:  # bench/checks.py's name; count is unused
+        return self.verify(polys)
 
 
 def _taylor_terms(p: list[Fraction], b: Fraction) -> list[Fraction]:
@@ -876,6 +878,8 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
     ViolationWitness verdict when none exists (flagged as suspicious: long
     enough growth chains always force a near-tangency).
     """
+    import numpy as np
+
     comps = [from_ratpoly(g) if isinstance(g, RatPoly) else [Fraction(c) for c in g]
              for g in gamma]
     ders = [uderiv(c) for c in comps]
@@ -907,33 +911,25 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
 
 # -- scale counting ----------------------------------------------------------------
 
-def _abs_range_intervals(p: list[Fraction], lo_val: Fraction,
-                         hi_val: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Interval decomposition of {t : lo_val <= |p(t)| <= hi_val}, to within 1e-9.
+def _abs_range_intervals(qlo: list[Fraction], qhi: list[Fraction],
+                         bound: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Interval decomposition of {t in [-bound, bound] : qlo(t) >= 0 >= qhi(t)}, to within 1e-9.
 
-    The cuts are the ends of the root brackets of p^2 - lo_val^2 and
-    p^2 - hi_val^2, refined to width 1e-9.  A bracket cell is kept or dropped
-    whole by its midpoint, so each end of a returned interval can be off by
-    up to 1e-9.
+    With qlo = p^2 - lo^2 and qhi = p^2 - hi^2 this is where lo <= |p| <= hi.
+    The cuts are -bound, bound, which must lie beyond every real root of qlo
+    and qhi, and the ends of their root brackets refined to width 1e-9.  A
+    cell between cuts is kept or dropped whole by its midpoint, so each inner
+    end of a returned interval can be off by up to 1e-9.
     """
-    psq = umul(p, p)
-    qlo = uadd(psq, [-lo_val * lo_val])
-    qhi = uadd(psq, [-hi_val * hi_val])
-    cuts: list[Fraction] = []
+    cuts = {-bound, bound}
     for q in (qlo, qhi):
-        for a, b in isolate_real_roots(q):
-            m = refine_root(q, (a, b), Fraction(1, 10**9))
-            cuts.extend([m[0], m[1]])
-    B = max(root_bound(qlo) if qlo else Fraction(1),
-            root_bound(qhi) if qhi else Fraction(1), Fraction(2))
-    cuts = sorted(set([-B * 2] + cuts + [B * 2]))
+        for iv in isolate_real_roots(q):
+            cuts.update(refine_root(q, iv, Fraction(1, 10**9)))
+    cuts = sorted(cuts)
     out = []
     for a, b in zip(cuts, cuts[1:]):
-        if b <= a:
-            continue
         mid = (a + b) / 2
-        v = abs(ueval(p, mid))
-        if lo_val <= v <= hi_val:
+        if ueval(qlo, mid) >= 0 >= ueval(qhi, mid):
             out.append((a, b))
     merged: list[tuple[Fraction, Fraction]] = []
     for a, b in out:
@@ -949,25 +945,21 @@ def scale_count(p1: RatPoly | Sequence, p2: RatPoly | Sequence,
     """Count integers k admitting t with |p1(t)| ~ 2^(a1 k), |p2(t)| ~ 2^(-a2 k).
 
     Feasibility per k intersects the interval decompositions of both
-    two-sided conditions.  Their ends are placed only to within 1e-9, so two
-    sets closer than 1e-9 can be counted as overlapping.
+    two-sided conditions, |p_i| between 2^(e_i - 1) and 2^(e_i + 1).  Both
+    are clipped to one window, twice the largest Cauchy bound of the four
+    edge polynomials p_i^2 - 4^(e_i -+ 1): past it neither set changes, so
+    two sets that both run on beyond it meet inside it.  Their inner ends are
+    placed only to within 1e-9, so two sets closer than 1e-9 can be counted
+    as overlapping.
     """
     c1 = from_ratpoly(p1) if isinstance(p1, RatPoly) else [Fraction(x) for x in p1]
     c2 = from_ratpoly(p2) if isinstance(p2, RatPoly) else [Fraction(x) for x in p2]
+    squares = [(umul(c1, c1), a1), (umul(c2, c2), -a2)]
     feasible = []
     for k in k_range:
-        lo1, hi1 = Fraction(2) ** (a1 * k - 1), Fraction(2) ** (a1 * k + 1)
-        lo2, hi2 = Fraction(2) ** (-a2 * k - 1), Fraction(2) ** (-a2 * k + 1)
-        iv1 = _abs_range_intervals(c1, lo1, hi1)
-        iv2 = _abs_range_intervals(c2, lo2, hi2)
-        hit = False
-        for x1, y1 in iv1:
-            for x2, y2 in iv2:
-                if min(y1, y2) > max(x1, x2):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
+        edges = [[uadd(sq, [-Fraction(4) ** (a * k + s)]) for s in (-1, 1)] for sq, a in squares]
+        bound = 2 * max([root_bound(q) for pair in edges for q in pair if q] + [Fraction(2)])
+        iv1, iv2 = (_abs_range_intervals(qlo, qhi, bound) for qlo, qhi in edges)
+        if any(min(y1, y2) > max(x1, x2) for x1, y1 in iv1 for x2, y2 in iv2):
             feasible.append(int(k))
     return {"feasible_k": feasible, "count": len(feasible)}

@@ -328,7 +328,7 @@ def test_criterion_9_appendix_algorithms():
     for polys in corpus:
         cover = monomialize(polys, F(1, 10))
         assert cover.diagnostics["uncertified_pieces"] == 0
-        assert cover.verify_samples([from_ratpoly(p) for p in polys], 64), polys
+        assert cover.verify([from_ratpoly(p) for p in polys]), polys
     # stopping time product bound over a set corpus
     sets = [
         IntervalSet.from_pairs([[0, 1]]),

@@ -416,6 +416,14 @@ class TestContracts:
         # 100000 ** 3 candidate centers would need petabytes; rejected unallocated
         (["ccball", "--scene", "builtin:moment2", "--check", "cover", "--grid", "100000"],
          "grid"),
+        # --cap 0 is not the scene's cap
+        (["fields", "--scene", "builtin:moment2", "--cap", "0"], "--cap"),
+        (["fields", "--scene", "builtin:moment2", "--cap=-3"], "--cap"),
+        # moment2 lives in three dimensions
+        (["torsion", "--scene", "builtin:moment2", "--beta", "0,1"], "--beta"),
+        (["verify", "strong", "--scene", "builtin:moment2", "--beta", "0,1"], "--beta"),
+        (["polyalg", "extract", "--coeffs", "1,0,1", "--k=-1"], "--k"),
+        (["polyalg", "extract", "--coeffs", "1,-2,1"], "--coeffs"),
     ])
     def test_missing_or_bad_option_is_named(self, args, option, capsys):
         code = main(args)

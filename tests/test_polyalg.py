@@ -1,21 +1,30 @@
 """Appendix algorithms: exact decisions, stopping times, covers, scans."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsionlab
 from torsionlab.polyalg import (
     HypothesisNotMet,
     IntervalSet,
+    MonomialCover,
+    MonomialPiece,
     check_refinement_bound,
     count_real_roots,
     curve_monomialize,
     extract_two_terms,
+    from_ratpoly,
     isolate_real_roots,
     monomialize,
     refine_interval,
@@ -27,7 +36,7 @@ from torsionlab.polyalg import (
     ueval,
     umul,
 )
-from torsionlab.polyalg import _gap_points, _nonneg_on_positive_axis
+from torsionlab.polyalg import _gap_points, _nonneg_on_positive_axis, _vector_taylor_sq
 from torsionlab.polycore import RatPoly
 
 
@@ -297,13 +306,11 @@ class TestMonomialize:
         assert all(p.center == 0 for p in cover.pieces)
 
     def test_domination_on_corpus(self):
-        from torsionlab.polyalg import from_ratpoly
-
         for polys in self.corpus():
             dense = [from_ratpoly(p) for p in polys]
             cover = monomialize(polys, F(1, 10))
             assert cover.diagnostics["uncertified_pieces"] == 0
-            assert cover.verify_samples(dense, 64), polys
+            assert cover.verify(dense), polys
 
     @pytest.mark.parametrize("inv_eps", [10, 20, 40])
     def test_piece_count_grows_like_one_over_eps(self, inv_eps):
@@ -333,15 +340,13 @@ class TestMonomialize:
     def test_irrational_roots_leave_hairline_gutters(self):
         # sqrt(2) cannot be a rational endpoint: the cover brackets it with a
         # reported gutter of negligible measure and certifies everything else
-        from torsionlab.polyalg import from_ratpoly
-
         t = RatPoly.variable(1, 0)
         p = t ** 2 - 2
         cover = monomialize([p], F(1, 10))
         assert cover.diagnostics["uncertified_pieces"] == 0
         assert cover.diagnostics["root_gutters"] == 2
         assert cover.diagnostics["gutter_measure"] < 1e-10
-        assert cover.verify_samples([from_ratpoly(p)], 64)
+        assert cover.verify([from_ratpoly(p)])
 
 
 class TestCurveMonomialize:
@@ -359,7 +364,7 @@ class TestCurveMonomialize:
     def test_piece_containing_its_center_rejected(self):
         # near 0 the parabola runs as |t|, so (-inf, 20) around 0 is no t^2 piece;
         # the same check must hold for one scalar group and for the curve group
-        from torsionlab.polyalg import _piece_exponents, _vector_taylor_sq
+        from torsionlab.polyalg import _piece_exponents
 
         comps = [[F(0), F(1)], [F(0), F(0), F(1)]]
         for groups in ([comps], [[c] for c in comps]):
@@ -380,22 +385,106 @@ class TestCurveMonomialize:
         gamma = [t + 1, t ** 3]
         cover = curve_monomialize(gamma, F(1, 10))
         assert cover.diagnostics["uncertified_pieces"] == 0
-        from torsionlab.polyalg import from_ratpoly
+        assert cover.verify([from_ratpoly(g) for g in gamma])
 
-        assert cover.verify_samples([from_ratpoly(g) for g in gamma], 16)
-
-    def test_verify_samples_checks_curve_covers(self):
+    def test_verify_checks_curve_covers(self):
         # one exponent for two polynomials marks a curve cover, which is
         # checked on |gamma|, not component by component
-        from dataclasses import replace
-
         gamma = [[F(0), F(1)], [F(0), F(0), F(1)]]
         cover = curve_monomialize(gamma, F(1, 10))
         assert len(cover.pieces) == 153
-        assert cover.verify_samples(gamma, 16)
+        assert cover.verify(gamma)
         i = next(i for i, p in enumerate(cover.pieces) if p.exponents == (1,))
         cover.pieces[i] = replace(cover.pieces[i], exponents=(2,))
-        assert not cover.verify_samples(gamma, 16)
+        assert not cover.verify(gamma)
+
+
+def _violated_at(groups, piece, eps, t):
+    """Domination checked directly at the point t, in Fractions."""
+    d2 = (t - piece.center) ** 2
+    for group, k_star in zip(groups, piece.exponents):
+        sq = _vector_taylor_sq(group, piece.center)
+        lead = sq[k_star] * d2 ** k_star
+        if any(k != k_star and s * d2 ** k > eps * eps * lead for k, s in enumerate(sq)):
+            return True
+    return False
+
+
+class TestCoverVerify:
+    """verify decides domination on whole closed pieces; each case can fail."""
+
+    eps = F(1, 10)
+    parabola = [[F(0), F(1)], [F(0), F(0), F(1)]]          # the curve (t, t^2)
+    t_plus_t2 = [[F(0), F(1), F(1)]]                      # the scalar t + t^2
+
+    def verify(self, piece, polys):
+        return MonomialCover([piece], self.eps).verify(polys)
+
+    def test_piece_grown_past_far_end_rejected(self):
+        # the sweep ends each piece as far as the grid allows, so growing it by
+        # 1% of its width past its far end often breaks domination: wherever a
+        # point just inside the new end violates it, verify rejects, and
+        # otherwise verify decides as the direct check at the new end itself
+        rejected = 0
+        for polys in TestMonomialize().corpus():
+            dense = [from_ratpoly(p) for p in polys]
+            groups = [[p] for p in dense]
+            for piece in monomialize(polys, self.eps).pieces:
+                if piece.lo is None or piece.hi is None:
+                    continue
+                step = (piece.hi - piece.lo) / 100
+                if piece.hi - piece.center >= piece.center - piece.lo:
+                    grown = replace(piece, hi=piece.hi + step)
+                    end, inside = grown.hi, grown.hi - step / 10**4
+                else:
+                    grown = replace(piece, lo=piece.lo - step)
+                    end, inside = grown.lo, grown.lo + step / 10**4
+                ok = self.verify(grown, dense)
+                assert ok == (not _violated_at(groups, grown, self.eps, end)), (polys, piece)
+                if _violated_at(groups, grown, self.eps, inside):
+                    rejected += 1
+        assert rejected >= 200
+
+    def test_near_end_pulled_toward_center_rejected(self):
+        # |gamma| runs as t^2 from distance 10 on: 1 <= eps^2 * 10^2 holds with
+        # equality at the near end, and fails once the near end is 9
+        for polys, groups in ((self.parabola, [self.parabola]),
+                              (self.t_plus_t2, [[p] for p in self.t_plus_t2])):
+            for near, far in ((F(10), F(30)), (F(-10), F(-30))):
+                piece = MonomialPiece(min(near, far), max(near, far), F(0), (2,))
+                assert self.verify(piece, polys)
+                pulled = near * F(9, 10)
+                piece = MonomialPiece(min(pulled, far), max(pulled, far), F(0), (2,))
+                assert not self.verify(piece, polys)
+                assert _violated_at(groups, piece, self.eps, pulled * F(1001, 1000))
+
+    def test_tail_below_top_exponent_rejected(self):
+        # an unbounded side admits no nonzero term above the dominant one
+        assert self.verify(MonomialPiece(F(20), None, F(0), (2,)), self.parabola)
+        assert not self.verify(MonomialPiece(F(20), None, F(0), (1,)), self.parabola)
+        lowered = 0
+        for polys in TestMonomialize().corpus()[:4]:
+            dense = [from_ratpoly(p) for p in polys]
+            for piece in monomialize(polys, self.eps).pieces:
+                if piece.lo is not None and piece.hi is not None:
+                    continue
+                for i, k in enumerate(piece.exponents):
+                    if k:
+                        exps = piece.exponents[:i] + (k - 1,) + piece.exponents[i + 1:]
+                        assert not self.verify(replace(piece, exponents=exps), dense)
+                        lowered += 1
+        assert lowered == 10
+
+    def test_closed_piece_holding_its_center(self):
+        # around 0 the parabola runs as |t|: [-20, 30] is no t^2 piece, though
+        # both its ends are at least 20 from the center; [-1/10, 1/10] is a t piece
+        for polys, groups in ((self.parabola, [self.parabola]),
+                              (self.t_plus_t2, [[p] for p in self.t_plus_t2])):
+            piece = MonomialPiece(F(-20), F(30), F(0), (2,))
+            assert not self.verify(piece, polys)
+            assert _violated_at(groups, piece, self.eps, F(1, 100))
+            assert self.verify(MonomialPiece(F(-1, 10), F(1, 10), F(0), (1,)), polys)
+            assert not self.verify(MonomialPiece(F(-1, 10), F(1, 9), F(0), (1,)), polys)
 
 
 def _fraction_piece_exponents(sqs, lo, hi, b, eps):
@@ -526,3 +615,31 @@ class TestScaleCount:
         small = scale_count(t2, shifted, 1, 1, range(-10, 11))["count"]
         large = scale_count(t2, shifted, 1, 1, range(-25, 26))["count"]
         assert small <= large <= small + 2  # stabilizes as the window grows
+
+    def test_constant_input_does_not_clip_the_other(self):
+        # k = -2: |1/3| lies in [1/8, 1/2] and |3/2 - t| in [8, 32] at t = 10,
+        # far outside the window the constant's own levels would give
+        r = scale_count([F(1, 3)], [F(3, 2), F(-1)], 1, 2, range(-6, 7))
+        assert r["feasible_k"] == [-2, -1]
+        # k = 2: |5/2 - 2t/3| lies in [8, 32] at t = 30, |-1/3| in [1/8, 1/2]
+        r = scale_count([F(5, 2), F(-2, 3)], [F(-1, 3)], 2, 1, range(-6, 7))
+        assert r["feasible_k"] == [1, 2]
+
+
+def test_exact_toolbox_runs_without_numpy():
+    # numpy is imported only inside the four float functions
+    code = "\n".join([
+        "import sys; sys.modules['numpy'] = None",
+        "from fractions import Fraction as F",
+        "from torsionlab import polyalg as pa",
+        "p = [F(-1), F(0), F(1)]",
+        "assert pa.monomialize([p], F(1, 10)).verify([p])",
+        "pa.refine_interval(pa.IntervalSet.from_pairs([[0, 1]]))",
+        "assert pa.extract_two_terms([1, 0, 1], 1).holds",
+        "assert pa.scale_count([F(1)], [F(1)], 1, 1, range(-2, 3))['count']",
+    ])
+    src = str(Path(torsionlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
