@@ -647,35 +647,73 @@ def _piece_exponents(sqs: Sequence[list[int]], lo: Fraction | None,
     ``sqs`` holds each group's squared Taylor magnitudes around the center b,
     each list up to one positive factor (``_integer_taylor_sq``): one
     polynomial per group for scalar covers, all curve components in one group
-    for curves.  A piece that contains its center is rejected.  With the
-    center outside, each comparison against the dominant term is monotone in
-    |t - b|, so testing the two distance extremes decides the whole piece
-    exactly; an unbounded side forces the top exponent.  With eps = e_n/e_d,
-    d_near = p_n/q_n, d_far = p_f/q_f and m = |j - k|, term k is dominated by
-    term j when S[k] e_d^2 q_n^(2m) <= e_n^2 S[j] p_n^(2m) (k < j) or
-    S[k] e_d^2 p_f^(2m) <= e_n^2 S[j] q_f^(2m) (k > j): the comparisons are
-    cross-multiplied in integers.
+    for curves.  A piece that contains its center is rejected; otherwise this
+    is one call of the certifier that the sweep builds once per step and
+    center (``_center_test``), so the comparisons on the piece's fixed side
+    are made once per center and only those that depend on hi are redone.
     """
     if (lo is None or lo < b) and (hi is None or b < hi):
         return None
-    if hi is not None and hi <= b:
-        d_near, d_far = b - hi, None if lo is None else b - lo
-    else:
-        d_near, d_far = lo - b, None if hi is None else hi - b
+    return _center_test(sqs, lo, b, hi is not None and hi <= b, eps)(hi)
+
+
+def _center_test(sqs: Sequence[list[int]], lo: Fraction | None, b: Fraction,
+                 right_side: bool, eps: Fraction):
+    """The domination test around b for pieces from lo, as a function of hi.
+
+    The center lies left of the pieces (b <= lo) or, with ``right_side``,
+    right of them (b >= hi; lo None is the unbounded left tail).  Each
+    comparison against the dominant term is monotone in |t - b|, so testing
+    the two distance extremes decides the whole piece exactly; an unbounded
+    side forces the top exponent.  With eps = e_n/e_d, d_near = p_n/q_n,
+    d_far = p_f/q_f and m = |j - k|, term k is dominated by term j when
+    S[k] e_d^2 q_n^(2m) <= e_n^2 S[j] p_n^(2m) (k < j) or
+    S[k] e_d^2 p_f^(2m) <= e_n^2 S[j] q_f^(2m) (k > j): the comparisons are
+    cross-multiplied in integers.  A distance |t - b| enters as the unreduced
+    quotient (t_n b_d - b_n t_d) / (t_d b_d): every comparison is homogeneous
+    in it, so a common factor cancels.  The distance to lo (near on the left,
+    far on the right) is fixed, so the candidates j that fail a comparison on
+    that side are dropped here, once.  The returned function maps hi to the
+    exponents, the least surviving j per group that passes the comparisons
+    at hi's distance, or to None when a group has none.
+    """
     en2, ed2 = eps.numerator ** 2, eps.denominator ** 2
-    pn2, qn2 = d_near.numerator ** 2, d_near.denominator ** 2
-    pf2, qf2 = (0, 0) if d_far is None else (d_far.numerator ** 2, d_far.denominator ** 2)
-    exps = []
+    bn, bd = b.numerator, b.denominator
+
+    def dist_sq(t: Fraction) -> tuple[int, int]:
+        x, y = t.numerator * bd - bn * t.denominator, t.denominator * bd
+        return x * x, y * y
+
+    if lo is not None:
+        p2, q2 = dist_sq(lo)
+        u, v = (p2, q2) if right_side else (q2, p2)
+    groups = []
     for sq in sqs:
         nz = [k for k, c in enumerate(sq) if c]
-        k_star = next((j for j in nz if all(
-            sq[k] * ed2 * qn2 ** (j - k) <= en2 * sq[j] * pn2 ** (j - k) if k < j
-            else d_far is not None and sq[k] * ed2 * pf2 ** (k - j) <= en2 * sq[j] * qf2 ** (k - j)
-            for k in nz if k != j)), None)
-        if k_star is None:
-            return None
-        exps.append(k_star)
-    return tuple(exps)
+        cands = []
+        for i, j in enumerate(nz):
+            fixed, rest = (nz[i + 1:], nz[:i]) if right_side else (nz[:i], nz[i + 1:])
+            if fixed and (lo is None or any(
+                    sq[k] * ed2 * u ** abs(j - k) > en2 * sq[j] * v ** abs(j - k) for k in fixed)):
+                continue
+            cands.append((j, [(abs(j - k), ed2 * sq[k], en2 * sq[j]) for k in rest]))
+        groups.append(cands)
+
+    def exponents(hi: Fraction | None) -> tuple[int, ...] | None:
+        if hi is not None:
+            x2, y2 = dist_sq(hi)
+            uu, vv = (y2, x2) if right_side else (x2, y2)
+        out = []
+        for cands in groups:
+            # an unbounded far side (hi None) leaves no term above j
+            j = next((j for j, rest in cands if (not rest if hi is None else all(
+                a * uu ** m <= c * vv ** m for m, a, c in rest))), None)
+            if j is None:
+                return None
+            out.append(j)
+        return tuple(out)
+
+    return exponents
 
 
 def _anchors(anchor_poly: list[Fraction], eps: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -715,17 +753,16 @@ def _grid_point(lo: Fraction | None, right: Fraction | None, k: int) -> Fraction
     significant bits, width(k) = (8 + k mod 8) * 2^(k div 8 - 3), which
     increases with k.  From a finite lo the step ends at lo + width(k),
     capped at ``right``; the unbounded left tail ends width(-k) before
-    ``right``.
+    ``right``.  The end is summed over one integer denominator and reduced
+    once.
     """
-    if lo is None:
-        return right - _grid_width(-k)
-    hi = lo + _grid_width(k)
-    return hi if right is None or hi < right else right
-
-
-def _grid_width(k: int) -> Fraction:
-    q, m = divmod(k, 8)
-    return (8 + m) * Fraction(2) ** (q - 3)
+    q, m = divmod(-k if lo is None else k, 8)
+    w, s = (8 + m) << max(q - 3, 0), max(3 - q, 0)      # width = w / 2^s
+    n, d = (right if lo is None else lo).as_integer_ratio()
+    num, den = (n << s) + (-w * d if lo is None else w * d), d << s
+    if lo is not None and right is not None and num * right.denominator >= right.numerator * den:
+        return right
+    return Fraction(num, den)
 
 
 def _last_true(ok, start: int) -> int | None:
@@ -776,11 +813,12 @@ def _sweep_cover(groups: list[list[list[Fraction]]], anchor_poly: list[Fraction]
         left_center, right_center = taylor(c_left), taylor(c_right)
         while lo != right:
             own = taylor(lo) if lo != c_left else None
-            centers = [c for c in (left_center, own, right_center) if c is not None]
+            tests = [(c[0], _center_test(c[1], lo, c[0], side, eps))
+                     for c, side in ((left_center, False), (own, False), (right_center, True))
+                     if c is not None]
 
             def exponents(hi):
-                return next(((b, x) for b, sq in centers
-                             if (x := _piece_exponents(sq, lo, hi, b, eps)) is not None), None)
+                return next(((b, x) for b, test in tests if (x := test(hi)) is not None), None)
 
             hi, hit = right, exponents(right)
             if hit is None:
@@ -829,7 +867,10 @@ def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
     cross-multiplied in integers: each center's squared Taylor magnitudes are
     built as integers over one common denominator, and the squared numerators
     and denominators of eps and of the piece's distances to the center
-    scale them (``_piece_exponents``).
+    scale them (``_center_test``).  A step holds its left end fixed while it
+    tries grid ends, so each center's comparisons on the side of that fixed
+    end are made once per step, and each candidate end redoes only the
+    comparisons that depend on it.
 
     The predicate is eps-domination: on the whole piece, every Taylor term at
     the center is at most eps times one dominant term.  An exponent-0 piece
@@ -876,7 +917,10 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
     Requires the growth chain |gamma(t_i)| < delta |gamma(t_(i+1))|; returns
     the first index where |gamma ^ gamma'| < eps |gamma| |gamma'|, or a
     ViolationWitness verdict when none exists (flagged as suspicious: long
-    enough growth chains always force a near-tangency).
+    enough growth chains always force a near-tangency).  Both inequalities
+    are decided exactly, on squares in Fractions with Fraction(delta) and
+    Fraction(eps); a time where gamma or gamma' vanishes counts as tangent.
+    The reported ``ratios`` are floats, for display only.
     """
     import numpy as np
 
@@ -884,11 +928,15 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
              for g in gamma]
     ders = [uderiv(c) for c in comps]
     ts = [Fraction(t) for t in times]
-    vals = [np.array([float(ueval(c, t)) for c in comps]) for t in ts]
-    dvals = [np.array([float(ueval(c, t)) for c in ders]) for t in ts]
+    exact = [[ueval(c, t) for c in comps] for t in ts]
+    dexact = [[ueval(c, t) for c in ders] for t in ts]
+    vals = [np.array([float(x) for x in v]) for v in exact]
+    dvals = [np.array([float(x) for x in v]) for v in dexact]
     norms = [float(np.linalg.norm(v)) for v in vals]
+    norms_sq = [sum(x * x for x in v) for v in exact]
+    delta_sq = Fraction(delta) ** 2
     for i in range(len(ts) - 1):
-        if not norms[i] < delta * norms[i + 1]:
+        if not (delta > 0 and norms_sq[i] < delta_sq * norms_sq[i + 1]):
             raise HypothesisNotMet(
                 f"|gamma(t_{i})| = {norms[i]} not < delta*|gamma(t_{i+1})|"
             )
@@ -901,9 +949,13 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
                 wedge_sq += (v[i] * dv[j] - v[j] * dv[i]) ** 2
         denom = float(np.linalg.norm(v) * np.linalg.norm(dv))
         ratios.append(math.sqrt(wedge_sq) / denom if denom > 0 else 0.0)
-    for i, r in enumerate(ratios):
-        if r < eps:
-            return {"verdict": "TangencyFound", "index": i, "ratio": r,
+    eps_sq = Fraction(eps) ** 2
+    for i, (v, dv) in enumerate(zip(exact, dexact)):
+        wedge_sq = sum((v[a] * dv[c] - v[c] * dv[a]) ** 2
+                       for a in range(len(v)) for c in range(a + 1, len(v)))
+        prod_sq = norms_sq[i] * sum(x * x for x in dv)
+        if eps > 0 and (wedge_sq < eps_sq * prod_sq or not prod_sq):
+            return {"verdict": "TangencyFound", "index": i, "ratio": ratios[i],
                     "ratios": ratios}
     return {"verdict": "ViolationWitness", "ratios": ratios,
             "note": "no near-tangent time; long chains should force one"}

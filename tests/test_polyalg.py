@@ -529,6 +529,20 @@ class TestIntegerPredicate:
         return [comps if any(comps) else comps + [[F(0), F(1)]]]
 
     @staticmethod
+    def _gutters():
+        """Gutter centers beside the irrational roots of t^2 - 2 and t^3 - 3t + 1."""
+        from torsionlab.polyalg import _anchors
+
+        return [c for poly in ([F(-2), F(0), F(1)], [F(1), F(-3), F(0), F(1)])
+                for a, b, c in _anchors(poly, F(1, 10)) if a != b]
+
+    def _case(self, rng, gutters):
+        """(groups, center b, eps) for one reference case."""
+        groups = self._groups(rng)
+        b = rng.choice([F(0), F(rng.randint(-20, 20), rng.randint(1, 8)), rng.choice(gutters)])
+        return groups, b, rng.choice([F(1, 10), F(1, 3), F(2, 7), F(99, 100)])
+
+    @staticmethod
     def _piece(rng, b):
         """(lo, hi) with b outside, at a distance d_near >= 0 that may be 0."""
         scale = F(2) ** rng.randint(-8, 4)
@@ -540,7 +554,6 @@ class TestIntegerPredicate:
 
     def test_matches_fraction_reference(self):
         from torsionlab.polyalg import (
-            _anchors,
             _integer_group,
             _integer_taylor_sq,
             _piece_exponents,
@@ -548,16 +561,11 @@ class TestIntegerPredicate:
         )
 
         rng = random.Random(7)
-        # gutter centers beside the irrational roots of t^2 - 2 and t^3 - 3t + 1
-        gutters = [c for poly in ([F(-2), F(0), F(1)], [F(1), F(-3), F(0), F(1)])
-                   for a, b, c in _anchors(poly, F(1, 10)) if a != b]
+        gutters = self._gutters()
         assert len(gutters) == 5 and all(c.denominator > 2 ** 40 for c in gutters)
         outcomes = {}
         for case in range(1500):
-            groups = self._groups(rng)
-            b = rng.choice([F(0), F(rng.randint(-20, 20), rng.randint(1, 8)),
-                            rng.choice(gutters)])
-            eps = rng.choice([F(1, 10), F(1, 3), F(2, 7), F(99, 100)])
+            groups, b, eps = self._case(rng, gutters)
             frac_sqs = [_vector_taylor_sq(g, b) for g in groups]
             int_sqs = []
             for g in groups:
@@ -578,6 +586,80 @@ class TestIntegerPredicate:
         assert all(None in seen and len(seen) > 1 for seen in outcomes.values())
 
 
+    def test_certifier_matches_fraction_reference(self):
+        # the sweep builds one certifier per step and center and asks it about
+        # several ends: the step's right end and grid points toward it
+        from torsionlab.polyalg import (
+            _center_test,
+            _grid_point,
+            _integer_group,
+            _integer_taylor_sq,
+        )
+
+        rng = random.Random(11)
+        gutters = self._gutters()
+        outcomes = {}
+        for case in range(300):
+            groups, b, eps = self._case(rng, gutters)
+            frac_sqs = [_vector_taylor_sq(g, b) for g in groups]
+            int_sqs = [_integer_taylor_sq(_integer_group(g), b) for g in groups]
+            scale = F(2) ** rng.randint(-8, 4)
+            gap = rng.choice([F(0), scale, scale * F(rng.randint(1, 15), 8)])
+            width = None if rng.random() < 0.25 else scale * F(rng.randint(1, 40), 8)
+            right_side = rng.random() < 0.5
+            if right_side:       # the right anchor, at or beyond the step's right end
+                right = b - gap
+                lo = None if width is None else right - width
+            else:                # the left anchor, or the step's own center (gap 0)
+                lo = b + gap
+                right = None if width is None else lo + width
+            test = _center_test(int_sqs, lo, b, right_side, eps)
+            his = {right} | {_grid_point(lo, right, k) for k in range(-120, 60, 3)}
+            assert len(his) >= 8
+            for hi in his:
+                want = _fraction_piece_exponents(frac_sqs, lo, hi, b, eps)
+                assert test(hi) == want, (groups, b, lo, hi, right_side, eps)
+                for kind, holds in (("right side", right_side), ("left side", not right_side),
+                                    ("lo None", lo is None), ("hi None", hi is None),
+                                    ("own center", lo == b), ("hi == b", hi == b),
+                                    ("gutter", b.denominator > 2 ** 40)):
+                    if holds:
+                        outcomes.setdefault(kind, set()).add(want is None)
+        # every kind of case occurs, and each decides both ways
+        assert len(outcomes) == 7
+        assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+class TestGridPoint:
+    """Sweep ends built in integers against the Fraction formula."""
+
+    @staticmethod
+    def width(k):
+        return (8 + k % 8) * F(2) ** (k // 8 - 3)
+
+    def test_matches_fraction_formula(self):
+        from torsionlab.polyalg import _MIN_GRID_INDEX, _grid_point
+
+        ks = range(_MIN_GRID_INDEX, 201)
+        for lo in (F(-5), F(7, 3), F(-123456789, 2 ** 40 + 15)):
+            for right in (None, lo + F(1000, 7)):
+                got = [_grid_point(lo, right, k) for k in ks]
+                want = [min(lo + self.width(k), right or lo + self.width(k)) for k in ks]
+                assert got == want
+                capped = [g == right for g in got]
+                cut = capped.index(True) if right is not None else len(got)
+                assert 0 < cut < len(got) or right is None
+                assert all(capped[cut:])
+                assert all(a < b for a, b in zip(got[:cut], got[1:cut]))
+                assert all(type(g) is Fraction and math.gcd(g.numerator, g.denominator) == 1
+                           for g in got)
+        for right in (F(0), F(-7, 3), F(123456789, 2 ** 40 + 15)):   # the left tail
+            got = [_grid_point(None, right, k) for k in ks]
+            assert got == [right - self.width(-k) for k in ks]
+            assert all(a < b for a, b in zip(got, got[1:])) and got[-1] < right
+            assert all(math.gcd(g.numerator, g.denominator) == 1 for g in got)
+
+
 class TestTangencyScan:
     def test_parabola_geometric_times(self):
         t = RatPoly.variable(1, 0)
@@ -596,6 +678,29 @@ class TestTangencyScan:
         t = RatPoly.variable(1, 0)
         with pytest.raises(HypothesisNotMet):
             tangency_scan([t, t ** 2], [4, 4, 4], delta=0.5, eps=0.1)
+
+    def test_tangency_decided_exactly(self):
+        # at t = 2, (t, t^2 + 1) has |gamma ^ gamma'|^2 = 9 and |gamma|^2 |gamma'|^2
+        # = 29 * 17; the float ratio rounds above 3/sqrt(493), so with eps set to
+        # it the exact test finds the tangency and the float test r < eps does not
+        gamma = [[F(0), F(1)], [F(1), F(0), F(1)]]
+        r = tangency_scan(gamma, [2], delta=2.0, eps=1.0)["ratios"][0]
+        assert Fraction(r) ** 2 * 493 > 9 and not r < r
+        out = tangency_scan(gamma, [2], delta=2.0, eps=r)
+        assert out["verdict"] == "TangencyFound" and out["ratio"] == r
+        assert tangency_scan(gamma, [2], delta=2.0, eps=math.nextafter(r, 0))["verdict"] \
+            == "ViolationWitness"
+
+    def test_growth_chain_decided_exactly(self):
+        # |gamma(1)|^2 = 5 < delta^2 |gamma(2)|^2 = 29 delta^2 holds exactly, while
+        # the float norms give |gamma(1)| >= delta |gamma(2)|
+        gamma = [[F(0), F(1)], [F(1), F(0), F(1)]]
+        delta = 0.4152273992686999
+        assert Fraction(delta) ** 2 * 29 > 5
+        assert not np.linalg.norm([1.0, 2.0]) < delta * np.linalg.norm([2.0, 5.0])
+        assert tangency_scan(gamma, [1, 2], delta=delta, eps=0.5)["verdict"] == "TangencyFound"
+        with pytest.raises(HypothesisNotMet):
+            tangency_scan(gamma, [1, 2], delta=math.nextafter(delta, 0), eps=0.5)
 
 
 class TestScaleCount:
