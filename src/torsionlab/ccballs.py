@@ -5,19 +5,31 @@ A ball B^I(x; alpha) is the image of the anisotropic box
     Q^I_alpha = { |t_i| < alpha1^(d1_i) * alpha2^(d2_i) },  (d1,d2) = deg w_i,
 
 under the composed flow Phi^I_x.  Everything here is a numeric probe: volumes
-come from quasi-Monte-Carlo sampling, membership from damped Newton preimage
-solves, and the outputs are reports with recorded constants rather than
-assertions against constants nobody can compute.
+come from quasi-Monte-Carlo sampling, membership from a coefficient enclosure
+and damped Newton preimage solves, and the outputs are reports with recorded
+constants rather than assertions against constants nobody can compute.
 
 All balls of one word tuple share one ``BallMap``: a single evaluator of
 (x, t) -> Phi^I_x(t) and its t-Jacobian, with the center x as a per-row
 parameter.  A membership question "is y in the ball at center x?" is answered
-for many centers and points at once: the questions become rows in (center,
-Newton start, point) order, solved by one ``newton_preimage`` call per
-``CHUNK_ROWS`` rows.  Newton rows never see each other (the evaluators are
-row-independent, batched solves factor each matrix on its own, and a singular
-Jacobian only affects its own row), so every mask is the one a single-center,
-single-start solve would give, whatever the batch or the chunking.
+for many (center, point) pairs at once, in three steps:
+
+1. Enclosure.  Each component splits as Phi_j(x, t) = P0_j(x) + D_j(x, t),
+   where D_j holds the terms with some t.  Over the inflated box the inside
+   test uses, |D_j| is at most R_j, D_j's terms with absolute coefficients at
+   (|x|, box halfwidths).  A pair with |y_j - P0_j(x)| above R_j, the Newton
+   tolerance and a float-rounding margin in some component has no preimage a
+   start could land on inside the box: it is a decided non-member, and
+   Newton never sees it.
+2. The box-center start, for every pair still open.
+3. The other starts, only for the pairs the center start did not land inside.
+
+Steps 2 and 3 each solve their (pair, start) rows by one ``newton_preimage``
+call per ``CHUNK_ROWS`` rows.  Newton rows never see each other (the
+evaluators are row-independent, batched solves factor each matrix on its own,
+and a singular Jacobian only affects its own row), so every membership mask
+is the one a single-center solve from every start would give, whatever the
+batch or the chunking.
 """
 
 from __future__ import annotations
@@ -30,11 +42,13 @@ import numpy as np
 
 from .geometry import Word, WordTable, word_degree
 from .numeric import JacobianEvaluator, MapEvaluator, newton_preimage
+from .polycore import RatPoly
 from .polytope import LambdaEntry
 from .sampling import halton
 from .torsion import iter_flow
 
-# rows per newton_preimage call in BallMap.members; the qmc_mean shard size
+# rows per newton_preimage call, and pairs per enclosure block, in
+# BallMap.members; the qmc_mean shard size
 CHUNK_ROWS = 65536
 # most candidate centers vitali_cover lays out: grid ** dim points of dim floats
 MAX_GRID_POINTS = 1 << 20
@@ -115,6 +129,12 @@ class BallMap:
         self._map = MapEvaluator(flow.map)
         self._jac = JacobianEvaluator(flow.map, wrt=list(range(n, 2 * n)))
         self._jac_det = MapEvaluator((flow.jac_det,))
+        # the enclosure: P0 at x, then (sum of |P0 terms|, R) at (|x|, box)
+        free = [{e: c for e, c in p.terms.items() if not any(e[n:])} for p in flow.map]
+        moving = [{e: c for e, c in p.terms.items() if any(e[n:])} for p in flow.map]
+        self._free = MapEvaluator([RatPoly(2 * n, d) for d in free])
+        self._bound = MapEvaluator([RatPoly(2 * n, {e: abs(c) for e, c in d.items()})
+                                    for d in free + moving])
 
     def push(self, center: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Phi^I_center(t) for the rows of t."""
@@ -130,30 +150,66 @@ class BallMap:
         """(membership, inconclusive) masks of shape (len(centers), len(ys)).
 
         Entry (c, p) asks whether ys[p] lies in the ball at centers[c] with
-        these box halfwidths.  Phi(t) = y is solved from up to 8 deterministic
-        starts inside the box; the point is a member when some start converges
-        inside the box, and inconclusive when no start converges at all.  The
-        (center, start, point) triples are rows in that order, solved by one
-        ``newton_preimage`` call per ``CHUNK_ROWS`` rows with the center as
-        each row's fixed parameter.  Rows are batch-independent, so entry
+        these box halfwidths.  Pairs the enclosure rules out are non-members.
+        For the rest, Phi(t) = y is solved from the box center, and from up to
+        7 more deterministic starts inside the box where that one did not
+        land inside; the point is a member when some start converges inside
+        the box.  It is inconclusive when the enclosure did not rule it out
+        and no start converged at all.  Rows are batch-independent, so entry
         (c, p) does not depend on the other centers, points or the chunking.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, self.n)
         ys = np.asarray(ys, dtype=float)
         hw = np.asarray(halfwidths, dtype=float)
+        box = hw * (1 + 1e-9) + tol  # the inside test's box, and the enclosure's
         starts = _newton_starts(hw)
-        shape = (len(centers), len(starts), len(ys))
-        total = len(centers) * len(starts) * len(ys)
+        free = self._free(np.hstack([centers, np.zeros_like(centers)]))
+        size, reach = np.split(
+            self._bound(np.hstack([np.abs(centers), np.broadcast_to(box, centers.shape)])),
+            2, axis=1)
+        shape = (len(centers), len(ys))
+        total = len(centers) * len(ys)
+        pairs = [np.empty(0, dtype=int)]  # the flat (center, point) indices left open
+        for lo in range(0, total, CHUNK_ROWS):
+            pair = np.arange(lo, min(lo + CHUNK_ROWS, total))
+            c, p = np.divmod(pair, len(ys))
+            # the 1e-9 term covers the float rounding of Phi, P0 and R, a small
+            # multiple of 1e-16 times the same magnitudes
+            slack = reach[c] + tol + 1e-9 * (size[c] + reach[c] + np.abs(ys[p]))
+            pairs.append(pair[~np.any(np.abs(ys[p] - free[c]) > slack, axis=1)])
+        pairs = np.concatenate(pairs)
+        member = np.zeros(total, dtype=bool)
+        inconclusive = np.zeros(total, dtype=bool)
+        # the box-center start for every open pair, the others where it missed
+        conv0, in0 = (a[:, 0] for a in self._solve(centers, ys, starts[:1], pairs, box, tol))
+        member[pairs[in0]] = True
+        rest = pairs[~in0]
+        conv, inside = self._solve(centers, ys, starts[1:], rest, box, tol)
+        member[rest] = inside.any(axis=1)
+        inconclusive[rest] = ~(conv0[~in0] | conv.any(axis=1))
+        return member.reshape(shape), inconclusive.reshape(shape)
+
+    def _solve(self, centers: np.ndarray, ys: np.ndarray, starts: np.ndarray,
+               pairs: np.ndarray, box: np.ndarray,
+               tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """(converged, inside) of shape (len(pairs), len(starts)).
+
+        ``pairs`` are flat (center, point) indices; their (pair, start) rows
+        go to ``newton_preimage`` ``CHUNK_ROWS`` at a time.
+        """
+        shape = (len(pairs), len(starts))
+        total = len(pairs) * len(starts)
         converged = np.empty(total, dtype=bool)
         inside = np.empty(total, dtype=bool)
         for lo in range(0, total, CHUNK_ROWS):
             rows = np.arange(lo, min(lo + CHUNK_ROWS, total))
-            c, s, p = np.unravel_index(rows, shape)
+            k, s = np.divmod(rows, len(starts))
+            c, p = np.divmod(pairs[k], len(ys))
             sol, ok = newton_preimage(self._map, self._jac, ys[p], starts[s],
                                       tol=tol, fixed=centers[c])
             converged[rows] = ok
-            inside[rows] = ok & np.all(np.abs(sol) < hw * (1 + 1e-9) + tol, axis=1)
-        return inside.reshape(shape).any(axis=1), ~converged.reshape(shape).any(axis=1)
+            inside[rows] = ok & np.all(np.abs(sol) < box, axis=1)
+        return converged.reshape(shape), inside.reshape(shape)
 
 
 def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,

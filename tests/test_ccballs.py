@@ -7,7 +7,9 @@ import pytest
 
 from torsionlab import ccballs
 from torsionlab.ccballs import BallMap, BallSpec, ball_sample, doubling_check, vitali_cover
+from torsionlab.numeric import JacobianEvaluator, MapEvaluator, newton_preimage
 from torsionlab.sampling import halton
+from torsionlab.torsion import iter_flow
 
 
 def spec_for(words, alpha, center=(0, 0, 0)):
@@ -158,6 +160,31 @@ def rounded(x):
     return np.array([float(Fraction(v).limit_denominator(10**9)) for v in x])
 
 
+def reference_members(table, words, centers, ys, hw, tol=1e-9):
+    """Every start, one center at a time, no enclosure and no early exit.
+
+    Returns (member, inconclusive, late): late marks the members whose
+    box-center start converged outside the box.
+    """
+    flow = iter_flow(table, words)
+    n = table.dim
+    fwd, jac = MapEvaluator(flow.map), JacobianEvaluator(flow.map, wrt=range(n, 2 * n))
+    hw = np.asarray(hw, dtype=float)
+    member = np.zeros((len(centers), len(ys)), dtype=bool)
+    converged = np.zeros_like(member)
+    late = np.zeros_like(member)
+    for k, c in enumerate(centers):
+        for i, start in enumerate(ccballs._newton_starts(hw)):
+            sol, ok = newton_preimage(fwd, jac, ys, start, tol=tol,
+                                      fixed=np.tile(c, (len(ys), 1)))
+            inside = ok & np.all(np.abs(sol) < hw * (1 + 1e-9) + tol, axis=1)
+            if i == 0:
+                late[k] = ok & ~inside
+            member[k] |= inside
+            converged[k] |= ok
+    return member, ~converged, late & member
+
+
 class TestMembers:
     WORDS = ((1,), (2,), (1, 2))
 
@@ -176,15 +203,90 @@ class TestMembers:
         # both outcomes occur, so the comparison can fail
         assert member.any() and not member.all()
 
+    # (fixture, words, centers): the benchmark's class; a class with negative
+    # coefficients and centers in its t-terms; a rank-one tuple whose
+    # preimages form lines, so that some members are reached only from a start
+    # off the box center (few centers: its unreachable pairs are slow to solve)
+    CASES = [("moment2", ((1,), (2,), (1, 2)), 4), ("power2d_k2", ((1,), (2,)), 4),
+             ("power2d_k2", ((2,), (1, 2)), 2)]
+
+    def test_masks_match_all_start_reference(self, request, monkeypatch):
+        seen = set()  # the (center, point) rows Newton was asked to solve
+
+        def recording(forward, jacobian, targets, start, tol, fixed):
+            seen.update(row.tobytes() for row in np.hstack([fixed, targets]))
+            return newton_preimage(forward, jacobian, targets, start, tol=tol, fixed=fixed)
+
+        monkeypatch.setattr(ccballs, "newton_preimage", recording)
+        chunks = (ccballs.CHUNK_ROWS, 7)
+        n_cloud = 24
+        late_members = edge_members = edge_outsiders = 0
+        for fixture, words, n_centers in self.CASES:
+            table = request.getfixturevalue(fixture)["table"]
+            n = table.dim
+            ball = BallMap(table, words)
+            hw = np.array([0.3, 0.2, 0.1][:n])
+            centers = 0.6 * (2.0 * halton(n, n_centers, seed=7) - 1.0)
+            assert (centers < 0).any()
+            # a cloud over 1.5x the box, then pairs of corners: just inside
+            # the box, and just outside it on one axis
+            ts = [1.5 * hw * (2.0 * halton(n, n_cloud, seed=2) - 1.0)]
+            for signs in (np.ones(n), -np.ones(n), (-1.0) ** np.arange(n)):
+                corner = signs * hw * (1 - 1e-6)
+                for k in range(n):
+                    out = corner.copy()
+                    out[k] = signs[k] * hw[k] * (1 + 1e-6)
+                    ts.append(np.array([corner, out]))
+            ts = np.vstack(ts)
+            ys = np.vstack([ball.push(c, ts) for c in centers])
+            ref_member, ref_bad, late = reference_members(table, words, centers, ys, hw)
+            for chunk in chunks:
+                monkeypatch.setattr(ccballs, "CHUNK_ROWS", chunk)
+                seen.clear()
+                member, bad = ball.members(centers, ys, hw)
+                asked = np.array([[np.hstack([c, y]).tobytes() in seen for y in ys]
+                                  for c in centers])
+                assert np.array_equal(member, ref_member), (fixture, words, chunk)
+                assert np.array_equal(bad, ref_bad & asked), (fixture, words, chunk)
+                # the enclosure settled a share of the pairs without Newton
+                assert not asked.all(), (fixture, words, chunk)
+            late_members += late.sum()
+            # each center against the points pushed from it
+            own = np.array([member[k, k * len(ts):(k + 1) * len(ts)]
+                            for k in range(len(centers))])
+            edge_members += own[:, n_cloud::2].sum()
+            edge_outsiders += (~own[:, n_cloud + 1::2]).sum()
+        assert late_members > 0 and edge_members > 0 and edge_outsiders > 0
+
     def test_no_centers(self, moment2):
         ball = BallMap(moment2["table"], self.WORDS)
         member, bad = ball.members(np.empty((0, 3)), np.zeros((4, 3)), [0.1] * 3)
         assert member.shape == bad.shape == (0, 4)
 
-    def test_cover_over_two_chunks_matches_per_center_loop(self, moment2):
+    def test_cover_over_two_chunks_matches_per_center_loop(self, moment2, monkeypatch):
         table, entries = moment2["table"], moment2["entries"]
+        solves, per_question = [], []
+
+        def counting_newton(*args, **kwargs):
+            solves.append(len(args[2]))
+            return newton_preimage(*args, **kwargs)
+
+        def counting_members(self, *args, **kwargs):
+            before = len(solves)
+            out = members(self, *args, **kwargs)
+            per_question.append(len(solves) - before)
+            return out
+
+        members = BallMap.members
+        monkeypatch.setattr(ccballs, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(ccballs, "newton_preimage", counting_newton)
+        monkeypatch.setattr(BallMap, "members", counting_members)
         r = vitali_cover(table, entries, [-0.5] * 3, [0.5] * 3, rho=8.0,
                          delta=0.5, grid=5, seed=3)
+        monkeypatch.undo()
+        # members makes two Newton passes, so a call with more than two
+        # newton_preimage calls split one of its passes into chunks
+        assert max(per_question) > 2 and max(solves) == 1000
         words = tuple(tuple(w) for w in r["words"])
         assert r["eligible_points"] == 125  # the whole grid, in meshgrid order
         axis = np.linspace(-0.5, 0.5, 5)
@@ -202,7 +304,5 @@ class TestMembers:
         covered = np.zeros(len(mesh), dtype=bool)
         for c in centers:
             covered |= ball.members([c], mesh, [r_big] * 3)[0][0]
-        # the coverage pass has rows (center, start, point): more than one chunk
-        assert len(centers) * 7 * len(mesh) > ccballs.CHUNK_ROWS
         assert r["centers"] == selected and r["count"] == len(selected)
         assert r["covered_fraction"] == float(covered.mean())
