@@ -6,6 +6,12 @@ with the same float operations on every row whatever the batch.  The Newton
 solver batches damped iterations over many target points at once, which is
 what ball-membership testing needs.
 
+Layout: a batch of points is an (m, nvars) array in Fortran (column-major)
+order, as ``sampling.halton`` draws it, and the evaluator's (m, ncomps)
+output is too.  Each coordinate read and each component written is then one
+contiguous vector rather than a strided column.  C-ordered input gives the
+same bits, only more slowly.
+
 ``newton_preimage(..., fixed=F)`` solves a family of maps at once: row i
 solves forward([F_i, t]) = target_i for t, where F_i holds parameters that
 stay fixed through the iteration (a ball's center, say).  ``forward`` and
@@ -13,7 +19,8 @@ stay fixed through the iteration (a ball's center, say).  ``forward`` and
 over (parameters, t) plugs in directly.  Every row takes the same float steps
 whatever else is in the batch: the evaluators are row-independent, batched
 ``np.linalg.solve`` factors each matrix separately, and a singular Jacobian
-sends only its own row to the pseudoinverse.
+sends only its own row to the pseudoinverse (the singular rows of a batch
+take it together, in one batched call).
 """
 
 from __future__ import annotations
@@ -45,10 +52,12 @@ class MapEvaluator:
         if points.ndim != 2 or points.shape[1] != self.nvars:
             raise ValueError(f"expected points of shape (m, {self.nvars}), got {points.shape}")
         m = len(points)
-        out = np.zeros((m, len(self._terms)))
+        out = np.zeros((m, len(self._terms)), order="F")
         for j, terms in enumerate(self._terms):
             for c, factors in terms:
-                term = np.full(m, c)
+                # a scalar start allocates no m-vector and gives the bits a
+                # vector of c's would: c * x, or c broadcast into the add
+                term = c
                 for i, e in factors:
                     term = term * (points[:, i] if e == 1 else points[:, i] ** e)
                 out[:, j] += term
@@ -79,14 +88,15 @@ def _newton_step(J: np.ndarray, r: np.ndarray) -> np.ndarray:
         return np.linalg.solve(J, r[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
-    # one singular matrix fails the whole batch: retry each row on its own so
-    # that only the singular ones take the least-squares step
+    # one singular matrix fails the whole batch.  solve raises where LAPACK's
+    # LU meets an exact zero pivot, and slogdet's sign is 0 exactly there, so
+    # the other rows are solved in one batch and only the singular ones take
+    # the least-squares step, also in one batch
+    singular = np.linalg.slogdet(J)[0] == 0
+    regular = ~singular
     step = np.empty_like(r)
-    for i in range(len(J)):
-        try:
-            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            step[i] = np.einsum("mij,mj->mi", np.linalg.pinv(J[i:i + 1]), r[i:i + 1])[0]
+    step[regular] = np.linalg.solve(J[regular], r[regular, :, None])[..., 0]
+    step[singular] = np.einsum("mij,mj->mi", np.linalg.pinv(J[singular]), r[singular])
     return step
 
 

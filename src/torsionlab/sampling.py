@@ -8,11 +8,19 @@ first; ``halton`` takes the low digits' part of that fold from a table and
 adds the high digits' terms per run of indices, in the same order, so every
 point is bit-for-bit the digit-by-digit fold.  Points are reproducible given
 (dim, seed, offset), and ``qmc_mean`` sums its shards in shard order.
+
+Layout: a batch is an (m, dim) array in Fortran (column-major) order, so each
+coordinate is one contiguous vector.  Numpy keeps that order through
+elementwise operations, so ``scale_to_box``, the evaluators and the box
+indicators downstream each run one pass per coordinate instead of stepping
+through the points one row at a time; the order changes no value.  Digit
+permutations are drawn once per (base, seed) per process, cached read-only.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,13 +31,19 @@ _PRIMES = [
 ]
 
 
+@lru_cache(maxsize=1024)
 def _digit_permutation(base: int, seed: int) -> np.ndarray:
+    """The seeded digit permutation of one base, read-only: the cache hands
+    the same array to every caller."""
     if seed == 0:
-        return np.arange(base)
-    rs = np.random.RandomState((seed * 1000003 + base) % (2**32))
-    perm = np.arange(1, base)
-    rs.shuffle(perm)
-    return np.concatenate([[0], perm])
+        perm = np.arange(base)
+    else:
+        rs = np.random.RandomState((seed * 1000003 + base) % (2**32))
+        perm = np.arange(1, base)
+        rs.shuffle(perm)
+        perm = np.concatenate([[0], perm])
+    perm.flags.writeable = False
+    return perm
 
 
 def _fold_digits(x: np.ndarray, n: np.ndarray, b: int, perm: np.ndarray,
@@ -44,8 +58,8 @@ def _fold_digits(x: np.ndarray, n: np.ndarray, b: int, perm: np.ndarray,
 
 
 def halton(dim: int, count: int, seed: int = 0, offset: int = 0) -> np.ndarray:
-    """(count, dim) scrambled-Halton points in [0, 1)^dim: the points with
-    indices offset + 1, ..., offset + count.
+    """(count, dim) scrambled-Halton points in [0, 1)^dim, in Fortran order:
+    the points with indices offset + 1, ..., offset + count.
 
     Coordinate i of point n folds the base-b digits of n (b the i-th prime)
     least significant first: x += perm[d_j] / denom after denom *= b, in
@@ -63,7 +77,7 @@ def halton(dim: int, count: int, seed: int = 0, offset: int = 0) -> np.ndarray:
         raise ValueError(f"dimension {dim} beyond the prime table")
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
-    out = np.empty((count, dim))
+    out = np.empty((count, dim), order="F")
     if count == 0:
         return out
     first, stop = offset + 1, offset + count + 1

@@ -5,7 +5,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from torsionlab.numeric import JacobianEvaluator, MapEvaluator, newton_preimage
+from torsionlab.numeric import (
+    JacobianEvaluator,
+    MapEvaluator,
+    _newton_step,
+    newton_preimage,
+)
 from torsionlab.polycore import RatPoly
 
 
@@ -55,6 +60,17 @@ def test_jacobian_is_the_reshaped_map_of_partials():
     assert jac.shape == (17, 4, 2)
     assert np.array_equal(jac, partials.reshape(17, 4, 2))
     assert np.array_equal(jac[:, 0, 0], -9 / 7 * pts[:, 2] ** 2)
+
+
+def test_output_is_column_major_and_blind_to_the_input_order():
+    pts = np.random.default_rng(5).uniform(-3, 3, size=(50, 3))
+    c_pts, f_pts = np.ascontiguousarray(pts), np.asfortranarray(pts)
+    assert c_pts.flags.c_contiguous and f_pts.flags.f_contiguous
+    for ev in (MapEvaluator(components()), JacobianEvaluator(components(), [2, 0])):
+        from_c, from_f = ev(c_pts), ev(f_pts)
+        assert from_c.tobytes() == from_f.tobytes()
+    vals = MapEvaluator(components())(c_pts)
+    assert vals.flags.f_contiguous and not vals.flags.c_contiguous
 
 
 def test_wrong_point_shape_rejected():
@@ -107,3 +123,40 @@ def test_newton_fixed_rows_match_one_parameter_solves():
         one, one_ok = newton_preimage(fwd, jac, targets[i:i + 1], starts[i])
         assert np.array_equal(sol[i], one[0]) and ok[i] == one_ok[0]
     assert ok.sum() >= 10
+
+
+def reference_newton_step(J, r):
+    """Each row solved on its own; a row whose solve raises takes its own
+    pseudoinverse step.  Also returns the rows that raised."""
+    step = np.empty_like(r)
+    raised = np.zeros(len(J), dtype=bool)
+    for i in range(len(J)):
+        try:
+            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            raised[i] = True
+            step[i] = np.einsum("mij,mj->mi", np.linalg.pinv(J[i:i + 1]), r[i:i + 1])[0]
+    return step, raised
+
+
+def test_newton_step_on_a_mixed_batch_matches_row_by_row():
+    rng = np.random.default_rng(4)
+    m = 400
+    J = rng.uniform(-2, 2, size=(m, 3, 3))
+    kind = np.arange(m) % 5
+    # proportional rows and a zero column give exact zero pivots; a rank-one
+    # product of dyadic vectors may or may not, and a tiny perturbation of a
+    # singular matrix gives a nonzero pivot
+    J[kind == 1, 2] = 2.0 * J[kind == 1, 0]
+    J[kind == 2, :, 1] = 0.0
+    u = rng.integers(-4, 5, size=(m, 3)) / 4.0
+    v = rng.integers(-4, 5, size=(m, 3)) / 4.0
+    J[kind == 3] = (u[:, :, None] * v[:, None, :])[kind == 3]
+    J[kind == 4] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2.0 ** -50, 0.0], [0.0, 0.0, 1.0]])
+    r = rng.uniform(-1, 1, size=(m, 3))
+    ref, raised = reference_newton_step(J, r)
+    assert 0 < raised.sum() < m and not raised[kind == 4].any()
+    assert np.isfinite(ref).all()
+    assert _newton_step(J, r).tobytes() == ref.tobytes()
+    # a batch with no regular row
+    assert _newton_step(J[raised], r[raised]).tobytes() == ref[raised].tobytes()

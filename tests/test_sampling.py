@@ -54,6 +54,25 @@ class TestHalton:
         assert np.array_equal(halton(dim, count, seed=seed, offset=offset),
                               _reference_halton(dim, count, seed, offset))
 
+    def test_batches_are_column_major(self):
+        # each coordinate is one contiguous vector; the bits do not depend on it
+        pts = halton(3, 100, seed=2, offset=7)
+        assert pts.flags.f_contiguous and not pts.flags.c_contiguous
+
+    @pytest.mark.parametrize("base, seed", [(2, 0), (7, 0), (7, 3), (113, 5), (29, 2**31)])
+    def test_digit_permutation_is_a_read_only_fresh_shuffle(self, base, seed):
+        perm = _digit_permutation(base, seed)
+        expected = np.arange(base)
+        if seed:
+            rs = np.random.RandomState((seed * 1000003 + base) % (2**32))
+            rs.shuffle(expected[1:])
+        assert np.array_equal(perm, expected)
+        assert not perm.flags.writeable
+        with pytest.raises(ValueError):
+            perm[0] = 1
+        # drawn once per (base, seed)
+        assert _digit_permutation(base, seed) is perm
+
     def test_unscrambled_points_are_radical_inverses(self):
         # points 1..4 in bases 2, 3, 5; base 2 alone cannot tell the order of
         # the float sums apart, because its sums are exact
@@ -146,3 +165,12 @@ def test_scale_to_box():
     u = np.array([[0.0, 0.5], [1.0, 0.25]])
     out = scale_to_box(u, [-1, 0], [1, 4])
     assert np.allclose(out, [[-1, 2], [1, 1]])
+
+
+def test_scale_to_box_keeps_the_layout_and_the_bits():
+    u = halton(3, 500, seed=4)
+    lo, hi = [-1, 0.5, -3], [1, 2.25, 0.1]
+    from_f = scale_to_box(u, lo, hi)
+    from_c = scale_to_box(np.ascontiguousarray(u), lo, hi)
+    assert from_f.flags.f_contiguous and not from_f.flags.c_contiguous
+    assert from_f.tobytes() == from_c.tobytes()

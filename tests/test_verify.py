@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torsionlab.polycore import RatPoly
@@ -85,6 +86,23 @@ class TestStepFunction:
                 (0, [Box((F(0), F(0)), (F(2), F(2)))]),
                 (1, [Box((F(1), F(1)), (F(3), F(3)))]),
             ])
+
+
+    def test_indicator_and_values_ignore_the_batch_layout(self):
+        f = StepFunction.from_levels([
+            (0, [Box((F(0), F(0)), (F(1, 2), F(1, 4))), Box((F(1, 2), F(0)), (F(1), F(1, 2)))]),
+            (3, [Box((F(-1), F(-1)), (F(0), F(1, 2)))]),
+        ])
+        # a grid that puts points on box faces, where the half-open test bites
+        axis = np.linspace(-1.25, 1.25, 41)
+        pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        c_pts, f_pts = np.ascontiguousarray(pts), np.asfortranarray(pts)
+        assert not c_pts.flags.f_contiguous and not f_pts.flags.c_contiguous
+        for _, union in f.levels:
+            inside = union.indicator(c_pts)
+            assert np.array_equal(inside, union.indicator(f_pts))
+            assert inside.any() and not inside.all()
+        assert f.values(c_pts).tobytes() == f.values(f_pts).tobytes()
 
 
 class TestRwt:
