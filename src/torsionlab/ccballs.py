@@ -242,11 +242,8 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
         hi = pts.max(axis=0)
         span = np.maximum(hi - lo, 1e-300)
         g = max(2, int(round(n_samples ** (1.0 / n) / 2)))
-        cells = set()
         scaled = np.clip(((pts - lo) / span * g).astype(int), 0, g - 1)
-        for row in scaled:
-            cells.add(tuple(row.tolist()))
-        vol = len(cells) * float(np.prod(span / g))
+        vol = len(np.unique(scaled, axis=0)) * float(np.prod(span / g))
         stderr = None
         method = "occupancy"
     return BallSample(
@@ -369,16 +366,14 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     if not entries:
         return {"centers": [], "count": 0, "covered_fraction": None,
                 "reason": "no nonzero lambda classes"}
-    words = max(entries, key=lambda e: abs(float(e.poly.eval(mid)))).words
+    best = max(range(len(entries)), key=lambda i: abs(float(entries[i].poly.eval(mid))))
+    words = entries[best].words
     axes = [np.linspace(lo[i], hi[i], grid) for i in range(n)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     lam_eval = MapEvaluator(tuple(e.poly for e in entries))
     vals = np.abs(lam_eval(mesh))
     big = vals.max(axis=1)
-    key = tuple(sorted(words))
-    idx = [i for i, e in enumerate(entries) if tuple(sorted(e.words)) == key]
-    mine = vals[:, idx[0]] if idx else np.zeros(len(mesh))
-    eligible = mesh[(mine >= delta * big) & (big > 0)]
+    eligible = mesh[(vals[:, best] >= delta * big) & (big > 0)]
     if len(eligible) == 0:
         return {"centers": [], "count": 0, "covered_fraction": None,
                 "reason": "no eligible grid points", "words": [list(w) for w in words]}

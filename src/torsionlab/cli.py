@@ -38,6 +38,7 @@ from .scenes import (
     SceneValidationError,
     builtin_scene,
     load_scene,
+    scene_from_json_dict,
 )
 
 EXIT_OK = 0
@@ -68,13 +69,11 @@ def _scene_from_args(args) -> Scene:
             return builtin_scene(args.scene.split(":", 1)[1])
         return load_scene(args.scene)
     if args.pi1 and args.pi2:
-        from .geometry import PolyMap
-
-        def load_map(path):
+        def read_json(path):
             with open(path) as fh:
-                return PolyMap.from_json_dict(json.load(fh))
+                return json.load(fh)
 
-        return Scene(pi1=load_map(args.pi1), pi2=load_map(args.pi2))
+        return scene_from_json_dict({"pi1": read_json(args.pi1), "pi2": read_json(args.pi2)})
     raise CliError("need --scene or both --pi1 and --pi2")
 
 

@@ -41,15 +41,6 @@ def word_degree(w: Word) -> tuple[int, int]:
     return (sum(1 for a in w if a == 1), sum(1 for a in w if a == 2))
 
 
-def tuple_degree(words: Sequence[Word]) -> tuple[int, int]:
-    d1 = d2 = 0
-    for w in words:
-        a, b = word_degree(w)
-        d1 += a
-        d2 += b
-    return (d1, d2)
-
-
 @dataclass(frozen=True)
 class PolyMap:
     """Polynomial map R^n -> R^(n-1), stored as its component polynomials."""

@@ -119,6 +119,11 @@ def from_ratpoly(p: RatPoly) -> list[Fraction]:
     return utrim(out)
 
 
+def _dense(p: RatPoly | Sequence) -> list[Fraction]:
+    """Trimmed coefficient list of a univariate RatPoly or a coefficient sequence."""
+    return from_ratpoly(p) if isinstance(p, RatPoly) else utrim([Fraction(c) for c in p])
+
+
 # -- Sturm chains and exact real-root isolation --------------------------------
 
 def _sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
@@ -138,15 +143,6 @@ def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of p in (lo, hi], via Sturm on the square-free part."""
-    sf = usquarefree(list(p))
-    if len(sf) <= 1:
-        return 0
-    chain = _sturm_chain(sf)
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
 def root_bound(p: list[Fraction]) -> Fraction:
@@ -431,20 +427,6 @@ def refine_interval(S: IntervalSet, c: Fraction | float = Fraction(1, 2),
             cur_hi = cuts[3]
 
 
-def refine_nested(S: IntervalSet, N: int, c=Fraction(1, 2),
-                  cprime=Fraction(1, 8)) -> list[dict]:
-    """Iterate the stopping time N times: K_(i+1), J_(i+1) inside J_i."""
-    out = []
-    cur = S
-    for _ in range(N):
-        r = refine_interval(cur, c=c, cprime=cprime)
-        out.append(r)
-        cur = cur.clip(*r["J"])
-        if cur.measure() == 0:
-            break
-    return out
-
-
 def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
                            eps: float = 0.1, c=Fraction(1, 2)) -> dict:
     """Ratio of int_S |P| against the derivative-ladder lower bound.
@@ -458,7 +440,7 @@ def check_refinement_bound(S: IntervalSet, P: RatPoly | Sequence, N: int,
     """
     import numpy as np
 
-    coeffs = from_ratpoly(P) if isinstance(P, RatPoly) else [Fraction(x) for x in P]
+    coeffs = _dense(P)
     r = refine_interval(S, c=c)
     J = r["J"]
     total = float(S.measure())
@@ -638,23 +620,6 @@ def _integer_taylor_sq(comps: list[list[int]], b: Fraction) -> list[int]:
                     for i in range(k, len(p)))
             out[k] += c * c
     return out
-
-
-def _piece_exponents(sqs: Sequence[list[int]], lo: Fraction | None,
-                     hi: Fraction | None, b: Fraction, eps: Fraction) -> tuple[int, ...] | None:
-    """Dominant exponent per group if domination holds on the open piece, else None.
-
-    ``sqs`` holds each group's squared Taylor magnitudes around the center b,
-    each list up to one positive factor (``_integer_taylor_sq``): one
-    polynomial per group for scalar covers, all curve components in one group
-    for curves.  A piece that contains its center is rejected; otherwise this
-    is one call of the certifier that the sweep builds once per step and
-    center (``_center_test``), so the comparisons on the piece's fixed side
-    are made once per center and only those that depend on hi are redone.
-    """
-    if (lo is None or lo < b) and (hi is None or b < hi):
-        return None
-    return _center_test(sqs, lo, b, hi is not None and hi <= b, eps)(hi)
 
 
 def _center_test(sqs: Sequence[list[int]], lo: Fraction | None, b: Fraction,
@@ -881,8 +846,7 @@ def monomialize(polys: Sequence[RatPoly | Sequence], eps) -> MonomialCover:
     decomposition into O(d^2) root-cluster intervals with constants depending
     only on the degree (Dendrinos-Wright, Amer. J. Math. 2010).
     """
-    dense = [from_ratpoly(p) if isinstance(p, RatPoly) else utrim([Fraction(c) for c in p])
-             for p in polys]
+    dense = [_dense(p) for p in polys]
     if any(not p for p in dense):
         raise HypothesisNotMet("polynomials must be nonzero")
     product = [Fraction(1)]
@@ -898,8 +862,7 @@ def curve_monomialize(gamma: Sequence[RatPoly | Sequence], eps) -> MonomialCover
     Euclidean magnitudes, which keeps every comparison rational; the anchors
     are the real roots of |gamma|^2.
     """
-    comps = [from_ratpoly(g) if isinstance(g, RatPoly) else utrim([Fraction(c) for c in g])
-             for g in gamma]
+    comps = [_dense(g) for g in gamma]
     if all(not c for c in comps):
         raise HypothesisNotMet("gamma must be nonzero")
     norm_sq: list[Fraction] = []
@@ -924,8 +887,7 @@ def tangency_scan(gamma: Sequence[RatPoly | Sequence], times: Sequence,
     """
     import numpy as np
 
-    comps = [from_ratpoly(g) if isinstance(g, RatPoly) else [Fraction(c) for c in g]
-             for g in gamma]
+    comps = [_dense(g) for g in gamma]
     ders = [uderiv(c) for c in comps]
     ts = [Fraction(t) for t in times]
     exact = [[ueval(c, t) for c in comps] for t in ts]
@@ -1004,8 +966,7 @@ def scale_count(p1: RatPoly | Sequence, p2: RatPoly | Sequence,
     placed only to within 1e-9, so two sets closer than 1e-9 can be counted
     as overlapping.
     """
-    c1 = from_ratpoly(p1) if isinstance(p1, RatPoly) else [Fraction(x) for x in p1]
-    c2 = from_ratpoly(p2) if isinstance(p2, RatPoly) else [Fraction(x) for x in p2]
+    c1, c2 = _dense(p1), _dense(p2)
     squares = [(umul(c1, c1), a1), (umul(c2, c2), -a2)]
     feasible = []
     for k in k_range:

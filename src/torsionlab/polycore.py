@@ -408,14 +408,6 @@ class PolyMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> RatPoly:
         return self.entries[ij[0]][ij[1]]
 
-    def minor(self, drop_row: int, drop_col: int) -> "PolyMatrix":
-        grid = tuple(
-            tuple(e for j, e in enumerate(row) if j != drop_col)
-            for i, row in enumerate(self.entries)
-            if i != drop_row
-        )
-        return PolyMatrix(self.rows - 1, self.cols - 1, grid)
-
     def det(self) -> RatPoly:
         """Determinant via fraction-free (Bareiss) elimination.
 
@@ -447,23 +439,3 @@ class PolyMatrix:
             prev = pivot
         result = m[n - 1][n - 1]
         return result if sign == 1 else -result
-
-
-def det_cofactor(matrix: PolyMatrix) -> RatPoly:
-    """Cofactor-expansion determinant; quadratic-time partner used as an
-    independent cross-check against the Bareiss path."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return RatPoly.const(0, 1)
-    if n == 1:
-        return matrix.entries[0][0]
-    total = RatPoly.zero(matrix.nvars)
-    for j in range(n):
-        entry = matrix.entries[0][j]
-        if entry.is_zero():
-            continue
-        term = entry * det_cofactor(matrix.minor(0, j))
-        total = total + (term if j % 2 == 0 else -term)
-    return total

@@ -154,14 +154,15 @@ def _levels_from_json(data, path: str) -> list[tuple[int, list[Box]]]:
 
 
 def scene_from_json_dict(data: dict) -> Scene:
+    maps = []
     for key in ("pi1", "pi2"):
         if key not in data:
             raise SceneValidationError(f"scene missing required key {key!r}")
-    try:
-        pi1 = PolyMap.from_json_dict(data["pi1"])
-        pi2 = PolyMap.from_json_dict(data["pi2"])
-    except (KeyError, ValueError) as e:
-        raise SceneValidationError(f"bad polynomial map: {e}") from None
+        try:
+            maps.append(PolyMap.from_json_dict(data[key]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise SceneValidationError(f"{key}: bad polynomial map: {e}") from None
+    pi1, pi2 = maps
     if pi1.source_dim != pi2.source_dim:
         raise SceneValidationError("pi1 and pi2 disagree on the source dimension")
     scene = Scene(pi1=pi1, pi2=pi2)

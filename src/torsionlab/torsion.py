@@ -229,12 +229,6 @@ class TorsionProfile:
     J_beta: RatPoly
     rho_exponent: Fraction
 
-    def rho_at(self, point: Sequence) -> float:
-        """Weight value at one rational point, for spot checks; batched float
-        evaluation goes through ``numeric.MapEvaluator``."""
-        v = self.J_beta.eval(point)
-        return float(abs(v)) ** float(self.rho_exponent)
-
     def to_json_dict(self) -> dict:
         return {
             "beta": list(self.beta),

@@ -54,6 +54,19 @@ class TestBallSample:
         assert s.method == "occupancy"
         # image is a segment: occupancy volume collapses with the grid
         assert s.volume_estimate < 1e-2
+        # X1 twice and X2: the image is a surface, which meets 40 of the 125
+        # cells of the 5^3 grid; counting distinct coordinates would give 5
+        surface = ball_sample(moment2["table"], spec_for([(1,), (1,), (2,)], Fraction(1, 4)),
+                              800, seed=3)
+        assert surface.method == "occupancy" and surface.volume_estimate > 0
+        for sample in (s, surface):
+            # distinct occupied cells over the bounding box, times the cell volume
+            pts = sample.points
+            lo, hi = pts.min(axis=0), pts.max(axis=0)
+            span = np.maximum(hi - lo, 1e-300)
+            scaled = np.clip(((pts - lo) / span * 5).astype(int), 0, 4)
+            cells = {tuple(row) for row in scaled.tolist()}
+            assert sample.volume_estimate == len(cells) * float(np.prod(span / 5))
 
     def test_positive_samples_required(self, moment2):
         with pytest.raises(ValueError):

@@ -327,6 +327,39 @@ class TestContracts:
         assert code == 2
         assert f"{path}: expected" in capsys.readouterr().err
 
+    @staticmethod
+    def _map_args(tmp_path, data):
+        paths = []
+        for key in ("pi1", "pi2"):
+            paths += [f"--{key}", str(tmp_path / f"{key}.json")]
+            Path(paths[-1]).write_text(json.dumps(data[key]))
+        return paths
+
+    def test_map_files_match_scene_file(self, tmp_path, capsys):
+        data = moment_curve_scene(2).to_json_dict()
+        p = tmp_path / "maps.json"
+        p.write_text(json.dumps({"pi1": data["pi1"], "pi2": data["pi2"]}))
+        _, want = run(["fields", "--scene", str(p)], capsys)
+        assert run(["fields", *self._map_args(tmp_path, data)], capsys) == (0, want)
+
+    @pytest.mark.parametrize("source, pi1", [
+        ("--pi1", moment_curve_scene(3).to_json_dict()["pi1"]),  # 4 variables, not 3
+        ("--pi1", {"components": "x"}),
+        ("--scene", {"components": "x"}),
+    ], ids=["map-dimension", "map-components", "scene-components"])
+    def test_bad_pi1_is_named(self, scene_file, tmp_path, source, pi1, capsys):
+        data = json.loads(Path(scene_file).read_text())
+        data["pi1"] = pi1
+        if source == "--scene":
+            p = tmp_path / "bad.json"
+            p.write_text(json.dumps(data))
+            args = ["--scene", str(p)]
+        else:
+            args = self._map_args(tmp_path, data)
+        code = main(["fields", *args])
+        assert code == 2
+        assert "scene error: pi1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bands", ["3", "a:b", "-6:2:1", "2:-6"])
     def test_verify_bad_bands_exit_2(self, scene_file, bands, capsys):
         code = main(["verify", "scales", "--scene", scene_file, f"--bands={bands}"])

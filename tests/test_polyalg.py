@@ -21,14 +21,12 @@ from torsionlab.polyalg import (
     MonomialCover,
     MonomialPiece,
     check_refinement_bound,
-    count_real_roots,
     curve_monomialize,
     extract_two_terms,
     from_ratpoly,
     isolate_real_roots,
     monomialize,
     refine_interval,
-    refine_nested,
     scale_count,
     sublevel_measure,
     sublevel_sweep,
@@ -36,12 +34,33 @@ from torsionlab.polyalg import (
     ueval,
     umul,
 )
-from torsionlab.polyalg import _gap_points, _nonneg_on_positive_axis, _vector_taylor_sq
+from torsionlab.polyalg import (
+    _center_test,
+    _gap_points,
+    _nonneg_on_positive_axis,
+    _vector_taylor_sq,
+)
 from torsionlab.polycore import RatPoly
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def _piece_exponents(sqs, lo, hi, b, eps):
+    """Dominant exponent per group if domination holds on the open piece, else None.
+
+    ``sqs`` holds each group's squared Taylor magnitudes around the center b,
+    each list up to one positive factor (``_integer_taylor_sq``): one
+    polynomial per group for scalar covers, all curve components in one group
+    for curves.  A piece that contains its center is rejected; otherwise this
+    is one call of the certifier that the sweep builds once per step and
+    center (``_center_test``), so the comparisons on the piece's fixed side
+    are made once per center and only those that depend on hi are redone.
+    """
+    if (lo is None or lo < b) and (hi is None or b < hi):
+        return None
+    return _center_test(sqs, lo, b, hi is not None and hi <= b, eps)(hi)
 
 
 class TestRootIsolation:
@@ -54,8 +73,8 @@ class TestRootIsolation:
 
     def test_counts(self):
         p = [F(0), F(-1), F(0), F(1)]  # t^3 - t: roots -1, 0, 1
-        assert count_real_roots(p, F(-2), F(2)) == 3
-        assert count_real_roots(p, F(0), F(2)) == 1  # (0, 2] contains just 1
+        assert len(isolate_real_roots(p, F(-2), F(2))) == 3
+        assert len(isolate_real_roots(p, F(0), F(2))) == 1  # (0, 2] contains just 1
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -185,13 +204,6 @@ class TestRefineInterval:
         a, b = r["J"]
         assert F(10) <= a < b <= F(11)
 
-    def test_nested_family(self):
-        S = IntervalSet.from_pairs([[0, 1]])
-        fam = refine_nested(S, 3)
-        assert len(fam) == 3
-        for outer, inner in zip(fam, fam[1:]):
-            assert outer["J"][0] <= inner["J"][0] <= inner["J"][1] <= outer["J"][1]
-
     def test_corpus_product_bound(self):
         """|S n J| >= |S| / 4^(N+1) across a mixed corpus."""
         rng = random.Random(42)
@@ -255,6 +267,13 @@ class TestRefinementBound:
         S = IntervalSet.from_pairs([[0, 2]])
         r = check_refinement_bound(S, [-2, 0, 1], N=2)
         assert r["lhs"] == pytest.approx(8 * math.sqrt(2) / 3 - 4 / 3, rel=1e-13)
+
+    def test_trailing_zero_coefficients(self):
+        # a coefficient list is trimmed as a RatPoly is, so [1, 0] is the constant 1
+        S = IntervalSet.from_pairs([[0, 1]])
+        for padded, p in (([1, 0], [1]), ([-2, 0, 1, 0, 0], [-2, 0, 1])):
+            got, want = check_refinement_bound(S, padded, N=2), check_refinement_bound(S, p, N=2)
+            assert (got["lhs"], got["rhs"]) == (want["lhs"], want["rhs"])
 
 
 class TestSublevel:
@@ -364,8 +383,6 @@ class TestCurveMonomialize:
     def test_piece_containing_its_center_rejected(self):
         # near 0 the parabola runs as |t|, so (-inf, 20) around 0 is no t^2 piece;
         # the same check must hold for one scalar group and for the curve group
-        from torsionlab.polyalg import _piece_exponents
-
         comps = [[F(0), F(1)], [F(0), F(0), F(1)]]
         for groups in ([comps], [[c] for c in comps]):
             sqs = [_vector_taylor_sq(g, F(0)) for g in groups]
@@ -556,7 +573,6 @@ class TestIntegerPredicate:
         from torsionlab.polyalg import (
             _integer_group,
             _integer_taylor_sq,
-            _piece_exponents,
             _vector_taylor_sq,
         )
 
@@ -589,12 +605,7 @@ class TestIntegerPredicate:
     def test_certifier_matches_fraction_reference(self):
         # the sweep builds one certifier per step and center and asks it about
         # several ends: the step's right end and grid points toward it
-        from torsionlab.polyalg import (
-            _center_test,
-            _grid_point,
-            _integer_group,
-            _integer_taylor_sq,
-        )
+        from torsionlab.polyalg import _grid_point, _integer_group, _integer_taylor_sq
 
         rng = random.Random(11)
         gutters = self._gutters()

@@ -7,12 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab.polycore import (
-    ExactDivisionError,
-    PolyMatrix,
-    RatPoly,
-    det_cofactor,
-)
+from torsionlab.polycore import ExactDivisionError, PolyMatrix, RatPoly
+
+
+def minor(matrix: PolyMatrix, drop_row: int, drop_col: int) -> PolyMatrix:
+    grid = tuple(
+        tuple(e for j, e in enumerate(row) if j != drop_col)
+        for i, row in enumerate(matrix.entries)
+        if i != drop_row
+    )
+    return PolyMatrix(matrix.rows - 1, matrix.cols - 1, grid)
+
+
+def det_cofactor(matrix: PolyMatrix) -> RatPoly:
+    """Cofactor-expansion determinant; quadratic-time partner used as an
+    independent cross-check against the Bareiss path."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = matrix.rows
+    if n == 0:
+        return RatPoly.const(0, 1)
+    if n == 1:
+        return matrix.entries[0][0]
+    total = RatPoly.zero(matrix.nvars)
+    for j in range(n):
+        entry = matrix.entries[0][j]
+        if entry.is_zero():
+            continue
+        term = entry * det_cofactor(minor(matrix, 0, j))
+        total = total + (term if j % 2 == 0 else -term)
+    return total
 
 
 def frac(n, d=1):

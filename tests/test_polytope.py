@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab.geometry import build_word_table, hodge_star_field, tuple_degree
+from torsionlab.geometry import build_word_table, hodge_star_field, word_degree
 from torsionlab.nilpotent import _rational_det, basis_frame, word_basis
 from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.polytope import (
@@ -25,6 +25,15 @@ from torsionlab.polytope import (
     weight_spec,
 )
 from torsionlab.scenes import curve_maps, moment_curve_scene, power2d_scene
+
+
+def tuple_degree(words) -> tuple[int, int]:
+    d1 = d2 = 0
+    for w in words:
+        a, b = word_degree(w)
+        d1 += a
+        d2 += b
+    return (d1, d2)
 
 
 def brute_force_member(generators, z):

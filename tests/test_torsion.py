@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from torsionlab import torsion
@@ -24,6 +25,7 @@ from torsionlab.torsion import (
     torsion_profile,
     weight_transform,
 )
+from torsionlab.verify import WeightEvaluator
 
 
 class TestIterFlow:
@@ -235,7 +237,7 @@ class TestProfiles:
         assert p.p == (Fraction(3, 2), Fraction(3, 2))
         assert p.rho_exponent == Fraction(1, 3)
         assert abs(p.J_beta.constant_value()) == 2
-        assert p.rho_at([0, 0, 0]) == pytest.approx(2 ** (1 / 3))
+        assert WeightEvaluator(p)(np.zeros((1, 3)))[0] == pytest.approx(2 ** (1 / 3))
 
     def test_power_map_profiles(self):
         for k in (2, 3):
