@@ -9,9 +9,12 @@ bracket.  The rest works abstractly: weak Malcev bases through a prescribed
 subalgebra, the polynomial group law in Malcev coordinates, and the
 covering map built from flows at a base point.
 
-All exact linear algebra over Q lives here.  ``Span`` is the one answer to
-"coordinates in, or defect from, the span of these vectors", for word
-coordinates, the Malcev ad matrices and the normalizer chain.
+All exact linear algebra over Q lives here.  Row reduction, determinants and
+the exp(-s ad) series work on integer rows (fraction-free elimination,
+Bareiss 1968) and make a Fraction only for an entry they return.  ``Span`` is
+the one answer to "coordinates in, or defect from, the span of these
+vectors", for word coordinates, the Malcev ad matrices and the normalizer
+chain.
 ``exp_neg_ad`` is the one exp(-s ad A) series, for the torsion Jacobian's
 pushforward columns and the group law's Maurer-Cartan matrix.  Flows are
 composed by ``geometry.compose_flow``; Jacobians are ``PolyMatrix.jacobian``.
@@ -51,49 +54,74 @@ class SingularAtOrigin(ArithmeticError):
 
 # -- exact linear algebra over Q ---------------------------------------------
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, as ints, and the product
+    of those lcms."""
+    out, scale = [], 1
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return out, scale
+
+
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns (rref rows, pivot column list)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form of a copy of ``rows``: (rref rows, pivot columns).
+
+    Elimination runs on integer rows: each row is scaled to integers once,
+    a pivot clears its column from every other row by a fraction-free row
+    operation, and each new row is divided by the gcd of its entries.  Each
+    returned row is divided by its pivot only at the end.  The RREF is
+    unique, so this gives the same Fractions as elimination in Q.
+    """
+    m = _integer_rows(rows)[0]
     pivots: list[int] = []
     r = 0
-    ncols = len(rows[0]) if rows else 0
+    ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        pv = prow[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(pv, f)
+                a, b = pv // g, f // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    zero = Fraction(0)
+    return [[Fraction(x, row[c]) if x else zero for x in row]
+            for row, c in zip(m, pivots)], pivots
 
 
 def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by exact Gaussian elimination."""
-    m = [list(r) for r in rows]
+    """Determinant of a square rational matrix by Bareiss elimination on its
+    integer rows: every division by the previous pivot is exact."""
+    m, scale = _integer_rows(rows)
     n = len(m)
-    det = Fraction(1)
+    sign, prev = 1, 1
     for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        p = next((i for i in range(k, n) if m[i][k]), None)
         if p is None:
             return Fraction(0)
         if p != k:
             m[k], m[p] = m[p], m[k]
-            det = -det
-        pivot = m[k][k]
-        det *= pivot
+            sign = -sign
+        prow = m[k]
+        pv = prow[k]
         for i in range(k + 1, n):
-            f = m[i][k] / pivot
-            if f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det
+            f = m[i][k]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(m[i], prow)]
+        prev = pv
+    return Fraction(sign * prev, scale)
 
 
 class Span:
@@ -249,22 +277,29 @@ def exp_neg_ad(ad: list[list[Fraction]], col: dict[tuple[int, ...], list[Fractio
     slot ``var`` of those tuples and ``ad`` is the matrix of ad A.  Each
     vector v contributes sum_k (-s)^k / k! (ad A)^k v, up to its first zero
     term.  Returns None when (ad A)^limit v is still nonzero.
+
+    With ad A = M / L and v = u / d for integer M and u, term k is
+    (-1)^k M^k u / (k! L^k d): the powers are taken in ints, and a Fraction
+    is made only to add an entry into the result.
     """
-    ad = [[(m, a) for m, a in enumerate(row) if a] for row in ad]
+    L = math.lcm(*(a.denominator for row in ad for a in row))
+    M = [[(m, a.numerator * (L // a.denominator)) for m, a in enumerate(row) if a]
+         for row in ad]
     out: dict[tuple[int, ...], list[Fraction]] = {}
     for e, v in col.items():
+        (u,), den = _integer_rows([v])
         k = 0
-        while any(v):
+        while any(u):
             if k == limit:
                 return None
-            c = Fraction((-1) ** k, math.factorial(k))
             ek = e[:var] + (e[var] + k,) + e[var + 1:]
-            acc = out.setdefault(ek, [Fraction(0)] * len(v))
-            for r, x in enumerate(v):
+            acc = out.setdefault(ek, [Fraction(0)] * len(u))
+            for r, x in enumerate(u):
                 if x:
-                    acc[r] += c * x
-            v = [sum((a * v[m] for m, a in row), Fraction(0)) for row in ad]
+                    acc[r] += Fraction(-x if k % 2 else x, den)
+            u = [sum(a * u[m] for m, a in row) for row in M]
             k += 1
+            den *= k * L
     return out
 
 

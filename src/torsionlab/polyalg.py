@@ -102,11 +102,13 @@ def ugcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 
 
 def usquarefree(p: list[Fraction]) -> list[Fraction]:
+    """Squarefree part of p as a trimmed Fraction list; p is left as it is."""
+    p = _dense(p)
     if len(p) <= 1:
-        return list(p)
+        return p
     g = ugcd(p, uderiv(p))
     if len(g) <= 1:
-        return list(p)
+        return p
     return udivmod(p, g)[0]
 
 
@@ -157,7 +159,7 @@ def root_bound(p: list[Fraction]) -> Fraction:
 def isolate_real_roots(p: list[Fraction], lo: Fraction | None = None,
                        hi: Fraction | None = None) -> list[tuple[Fraction, Fraction]]:
     """Disjoint rational intervals (a, b], one distinct real root each."""
-    sf = usquarefree(list(p))
+    sf = usquarefree(p)
     if len(sf) <= 1:
         return []
     B = root_bound(sf)
@@ -198,7 +200,7 @@ def _gap_points(p: list[Fraction], lo: Fraction) -> list[Fraction]:
     r is a simple root of the squarefree part, so m in (a, b) is left of r
     exactly when r = b or m has the sign opposite to b.
     """
-    sf = usquarefree(list(p))
+    sf = usquarefree(p)
     hi = max(root_bound(sf), lo + 1)  # the Cauchy bound is strict
     points = []
     for a, b in _isolate(sf, _sturm_chain(sf), lo, hi):
@@ -218,7 +220,7 @@ def refine_root(p: list[Fraction], interval: tuple[Fraction, Fraction],
     so multiple roots refine correctly; the left endpoint is never evaluated
     because it may be a root belonging to the neighboring interval.
     """
-    sf = usquarefree(list(p))
+    sf = usquarefree(p)
     a, b = interval
     vb = ueval(sf, b)
     if vb == 0:

@@ -44,8 +44,9 @@ Jacobian of the composed map is taken by one Bareiss determinant over all
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .geometry import Word, WordTable, compose_flow, lie_series_flow
@@ -57,21 +58,22 @@ class NonConstantJacobian(ValueError):
     """A coordinate-change map fed to weight_transform has a non-constant Jacobian."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterFlowMap:
-    """Composed flow Phi^I_x and its time-Jacobian determinant.
+    """Composed flow Phi^I_x of a table's word tuple and its time Jacobian.
 
     ``map`` holds n polynomials in 2n variables: x_0..x_(n-1), t_1..t_n.
-    ``jac_det`` is det of d(map)/d(t), same variable space.
+    ``jac_det`` is det of d(map)/d(t), same variable space.  Both are built
+    on first read; ``jac_det`` reads ``map`` only where ``adjoint_jac_det``
+    needs it, so on moment curves the flows are never composed.
     """
 
+    table: WordTable = field(repr=False)
     words: tuple[Word, ...]
-    map: tuple[RatPoly, ...]
-    jac_det: RatPoly
 
     @property
     def dim(self) -> int:
-        return len(self.map)
+        return self.table.dim
 
     def time_vars(self) -> list[int]:
         n = self.dim
@@ -81,13 +83,35 @@ class IterFlowMap:
         pt = list(x) + list(t)
         return [m.eval(pt) for m in self.map]
 
+    @cached_property
+    def map(self) -> tuple[RatPoly, ...]:
+        """Flow along words[0] first; an absent word is an identity factor."""
+        n = self.dim
+        nv = 2 * n
+        state = [RatPoly.variable(nv, i) for i in range(n)]
+        for slot, w in enumerate(self.words):
+            fld = self.table.field_for(w)
+            if fld.is_zero():
+                continue
+            state = compose_flow(lie_series_flow(fld), RatPoly.variable(nv, n + slot), state)
+        return tuple(state)
+
+    @cached_property
+    def jac_det(self) -> RatPoly:
+        """``adjoint_jac_det``, or the Bareiss determinant of the composed map's
+        time Jacobian where that declines."""
+        det = adjoint_jac_det(self)
+        if det is None:
+            det = PolyMatrix.jacobian(self.map, self.time_vars()).det()
+        return det
+
 
 def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
     """Exact Phi^I_x for a tuple of words, flowing along words[0] first.
 
     Absent words act as zero fields and contribute identity factors; the
     resulting Jacobian is then degenerate, which is legal.  Results are
-    memoized on the table.
+    memoized on the table, with ``jac_det`` already read.
 
     ``jac_det`` is det d Phi/dt = sum_S det C(t)[S, :] * (det E_S) o Phi
     (``adjoint_jac_det``), where column j of C(t) holds the word coordinates
@@ -104,30 +128,22 @@ def iter_flow(table: WordTable, words: Sequence[Word]) -> IterFlowMap:
     n = table.dim
     if len(words) != n:
         raise ValueError(f"need an n-tuple of words (n={n}), got {len(words)}")
-    nv = 2 * n
-    state: list[RatPoly] = [RatPoly.variable(nv, i) for i in range(n)]
-    for slot, w in enumerate(key):
-        fld = table.field_for(w)
-        if fld.is_zero():
-            continue  # identity factor
-        state = compose_flow(lie_series_flow(fld), RatPoly.variable(nv, n + slot), state)
-    jac_det = adjoint_jac_det(table, key, state)
-    if jac_det is None:
-        jac_det = PolyMatrix.jacobian(state, range(n, nv)).det()
-    result = IterFlowMap(words=key, map=tuple(state), jac_det=jac_det)
+    result = IterFlowMap(table, key)
+    result.jac_det  # built now, so that every cached flow carries it
     cache[key] = result
     return result
 
 
-def adjoint_jac_det(table: WordTable, words: Sequence[Word],
-                    state: Sequence[RatPoly]) -> RatPoly | None:
-    """det d Phi/dt for Phi = ``state`` the composed flow of ``words``, by
-    Cauchy-Binet over the table's word basis (see the module docstring).
+def adjoint_jac_det(flow: IterFlowMap) -> RatPoly | None:
+    """det d Phi/dt for Phi = ``flow.map``, by Cauchy-Binet over the table's
+    word basis (see the module docstring).  ``flow.map`` is read only for a
+    minor det E_S that is not constant.
 
     Returns None, so that the caller takes the Bareiss determinant, when the
     table's ad matrices are unknown or an ad series is still nonzero after N
     terms.
     """
+    table, words = flow.table, flow.words
     frame = basis_frame(table)
     if frame.letter_ad is None:
         return None
@@ -155,7 +171,7 @@ def adjoint_jac_det(table: WordTable, words: Sequence[Word],
         if minor.is_constant():
             total = total + det_c * minor.constant_value()
         else:
-            total = total + det_c * minor.compose(state)
+            total = total + det_c * minor.compose(flow.map)
     return total
 
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from torsionlab import nilpotent
 from torsionlab.geometry import (
     NotNilpotentWithinCap,
     PolyMap,
@@ -28,8 +29,11 @@ from torsionlab.nilpotent import (
     Span,
     _echelon,
     _malcev_struct,
+    _nullspace,
+    _rational_det,
     abstract_algebra,
     covering_map,
+    exp_neg_ad,
     group_law,
     isotropy_subalgebra,
     weak_malcev,
@@ -119,6 +123,163 @@ def malcev_law(name, x0):
     table = scene.word_table()
     basis = malcev_at(table, [x0] * table.dim)
     return basis, group_law(basis)
+
+
+# -- references: elimination in Fractions, entry by entry -------------------
+
+def echelon_reference(rows):
+    """Row-reduce a copy; returns (rref rows, pivot column list)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def rational_det_reference(rows):
+    """Determinant of a square rational matrix by Gaussian elimination in Q."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        pivot = m[k][k]
+        det *= pivot
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f != 0:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def exp_neg_ad_reference(ad, col, var, limit):
+    """exp(-s ad A) on a polynomial column, one Fraction product per entry."""
+    ad = [[(m, a) for m, a in enumerate(row) if a] for row in ad]
+    out = {}
+    for e, v in col.items():
+        k = 0
+        while any(v):
+            if k == limit:
+                return None
+            c = Fraction((-1) ** k, math.factorial(k))
+            ek = e[:var] + (e[var] + k,) + e[var + 1:]
+            acc = out.setdefault(ek, [Fraction(0)] * len(v))
+            for r, x in enumerate(v):
+                if x:
+                    acc[r] += c * x
+            v = [sum((a * v[m] for m, a in row), Fraction(0)) for row in ad]
+            k += 1
+    return out
+
+
+def random_matrix(rng, nrows, ncols, rank=None):
+    """Rational matrix of the given rank (random by default) with zero rows
+    and columns, entries of both signs and, now and then, large denominators."""
+    big = rng.random() < 0.3
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        den = rng.randint(1, 10 ** 15) if big else rng.randint(1, 9)
+        return Fraction(rng.randint(-9 * den, 9 * den), den)
+
+    rank = rng.randint(0, min(nrows, ncols)) if rank is None else rank
+    base = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = base + [combine([entry() for _ in base], base, ncols)
+                   for _ in range(nrows - rank)]
+    for c in rng.sample(range(ncols), rng.randint(0, ncols // 3)):
+        for row in rows:
+            row[c] = Fraction(0)
+    rng.shuffle(rows)
+    return rows
+
+
+def nilpotent_matrix(rng, dim):
+    """P L P^-1 for a strictly lower triangular L and a permutation P."""
+    perm = rng.sample(range(dim), dim)
+    low = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if j < i else Fraction(0)
+            for j in range(dim)] for i in range(dim)]
+    out = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            out[perm[i]][perm[j]] = low[i][j]
+    return out
+
+
+class TestIntegerElimination:
+    """The integer-row elimination against the Fraction references above."""
+
+    def test_echelon_span_nullspace(self, monkeypatch):
+        cases = []
+        for seed in range(200):
+            rng = random.Random(seed)
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+            cases.append((random_matrix(rng, nrows, ncols), ncols))
+        cases += [([[Fraction(0)] * 3] * 2, 3), ([[Fraction(-5, 7)]], 1),
+                  ([[Fraction(0), Fraction(-2, 3)], [Fraction(-4), Fraction(1)]], 2)]
+
+        def objects(rows, ncols):
+            span = Span([list(c) for c in zip(*rows)], len(rows))
+            return (_echelon(rows), _nullspace(rows, ncols),
+                    (span.basis, span.rank, span.gen_coords, span._coord_rows,
+                     span._defect_rows))
+
+        got = [objects(rows, ncols) for rows, ncols in cases]
+        monkeypatch.setattr(nilpotent, "_echelon", echelon_reference)
+        want = [objects(rows, ncols) for rows, ncols in cases]
+        assert got == want
+        assert any(len(e[0][1]) < min(len(r), n) for e, (r, n) in zip(got, cases))
+
+    def test_rational_det(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            n = rng.randint(0, 6)
+            rows = random_matrix(rng, n, n, rank=n if seed % 3 else None)
+            assert _rational_det(rows) == rational_det_reference(rows)
+        # a row swap, and a negative pivot left after it
+        rows = [[Fraction(0), Fraction(1, 2)], [Fraction(-3), Fraction(5)]]
+        assert _rational_det(rows) == Fraction(3, 2) == rational_det_reference(rows)
+
+    def test_exp_neg_ad(self):
+        declined = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            dim, nv = rng.randint(1, 5), rng.randint(1, 3)
+            ad = nilpotent_matrix(rng, dim)
+            if seed % 4 == 0:  # not nilpotent: the series never stops
+                ad[0][0] = Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+            col = {tuple(rng.randint(0, 2) for _ in range(nv)): rational_vec(rng, dim)
+                   for _ in range(rng.randint(1, 4))}
+            var, limit = rng.randrange(nv), rng.randint(1, dim + 1)
+            got = exp_neg_ad(ad, col, var, limit)
+            want = exp_neg_ad_reference(ad, col, var, limit)
+            assert got == want
+            if want is None:
+                declined += 1
+            else:
+                assert list(got) == list(want)
+        assert 0 < declined < 100
+        assert exp_neg_ad([[Fraction(1)]], {(0,): [Fraction(1)]}, 0, 3) is None
 
 
 class TestSpan:

@@ -33,6 +33,7 @@ from torsionlab.polyalg import (
     tangency_scan,
     ueval,
     umul,
+    usquarefree,
 )
 from torsionlab.polyalg import (
     _center_test,
@@ -75,6 +76,22 @@ class TestRootIsolation:
         p = [F(0), F(-1), F(0), F(1)]  # t^3 - t: roots -1, 0, 1
         assert len(isolate_real_roots(p, F(-2), F(2))) == 3
         assert len(isolate_real_roots(p, F(0), F(2))) == 1  # (0, 2] contains just 1
+
+    def test_padded_and_integer_coefficients(self):
+        # a padded list is the polynomial it pads, as for a RatPoly, and
+        # integer coefficients stay exact
+        for padded, p in (([F(1), F(0)], [F(1)]),
+                          ([F(-1), F(0), F(1), F(0)], [F(-1), F(0), F(1)]),
+                          ([1, -2, 1, 0, 0], [F(1), F(-2), F(1)]),
+                          ([0, -1, 0, 1], [F(0), F(-1), F(0), F(1)])):
+            kept = list(padded)
+            assert usquarefree(padded) == usquarefree(p)
+            ivs = isolate_real_roots(padded)
+            assert ivs == isolate_real_roots(p)
+            assert all(type(x) is Fraction for iv in ivs for x in iv)
+            assert padded == kept
+        assert usquarefree([F(-1), F(0), F(1), F(0)]) == [F(-1), F(0), F(1)]
+        assert all(type(c) is Fraction for c in usquarefree([1, -2, 1]))
 
     @given(st.lists(st.integers(-4, 4), min_size=2, max_size=6))
     @settings(max_examples=40, deadline=None)

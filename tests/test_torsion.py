@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torsionlab import torsion
-from torsionlab.geometry import build_word_table, hodge_star_field
+from torsionlab.geometry import build_word_table, hodge_star_field, lie_series_flow
 from torsionlab.nilpotent import basis_frame
 from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.scenes import builtin_scene, curve_maps, moment_curve_scene, power2d_scene
@@ -91,6 +91,20 @@ def route_log(monkeypatch):
     return log
 
 
+@pytest.fixture()
+def compose_log(monkeypatch):
+    """Record every flow factor that torsion composes."""
+    log = []
+    compose = torsion.compose_flow
+
+    def spy(*args):
+        log.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(torsion, "compose_flow", spy)
+    return log
+
+
 def _moment_table(d, cap=None):
     scene = moment_curve_scene(d)
     if cap is not None:
@@ -128,7 +142,7 @@ class TestAdjointRoute:
         assert flow.jac_det == _bareiss_jac_det(flow)
 
     @pytest.mark.parametrize("scene", ["curve0", "curve1", "sheared"])
-    def test_more_basis_fields_than_dimensions(self, scene, route_log):
+    def test_more_basis_fields_than_dimensions(self, scene, route_log, compose_log):
         from test_polytope import sheared_scene
 
         table = (sheared_scene().word_table() if scene == "sheared"
@@ -136,10 +150,13 @@ class TestAdjointRoute:
         frame = basis_frame(table)
         assert len(frame.basis.words) > table.dim
         assert any(not minor.is_constant() for _, minor in frame.minors)
-        for start in (1, 2):
+        for k, start in enumerate((1, 2), 1):
             flow = iter_flow(table, psi_words(table.dim, start))
+            # a minor det E_S is not constant, so jac_det composed the map
+            assert len(compose_log) == k * table.dim
             assert flow.jac_det == _bareiss_jac_det(flow)
         assert route_log == [True, True]
+        assert len(compose_log) == 2 * table.dim
 
     @pytest.mark.parametrize("d, words, degree", [
         (2, ((1,), (2,), (1, 2)), 0),
@@ -171,9 +188,9 @@ class TestAdjointRoute:
         table = build_word_table(PolyVectorField((x0, zero)),
                                  PolyVectorField((one, zero)), 3)
         assert basis_frame(table).letter_ad is not None
-        state = RatPoly.variables(4)[:2]
-        assert torsion.adjoint_jac_det(table, ((2,), (1,)), state) is None
-        assert torsion.adjoint_jac_det(table, ((1,), (2,)), state) is not None
+        flows = [torsion.IterFlowMap(table, words) for words in (((2,), (1,)), ((1,), (2,)))]
+        assert torsion.adjoint_jac_det(flows[0]) is None
+        assert torsion.adjoint_jac_det(flows[1]) is not None
 
     @pytest.mark.parametrize("d, cap", [(3, 2), (4, 3)])
     def test_truncated_cap_takes_the_fallback(self, d, cap, route_log):
@@ -186,6 +203,48 @@ class TestAdjointRoute:
         # the truncated table gives the same polynomial as the full one
         full = psi_flow(_moment_table(d))
         assert psi_flow(table).jac_det == full.jac_det
+
+
+def _composed_outside_in(table, words):
+    """Phi = F_n o ... o F_1 substituted from the outermost factor inward,
+    the other bracketing of the composition that iter_flow builds."""
+    n = table.dim
+    xs = RatPoly.variables(2 * n)
+    state = xs[:n]
+    for slot in reversed(range(n)):
+        fld = table.field_for(words[slot])
+        if fld.is_zero():
+            continue
+        factor = [m.compose(xs[:n] + [xs[n + slot]]) for m in lie_series_flow(fld).map]
+        state = [p.compose(factor + xs[n:]) for p in state]
+    return tuple(state)
+
+
+class TestLazyMap:
+    """The composed map is built on first read, and only the Bareiss fallback
+    or a minor det E_S that is not constant reads it for jac_det."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_moment_profiles_compose_no_map(self, d, compose_log):
+        scene = moment_curve_scene(d)
+        table = scene.word_table()
+        for reversed_order in (False, True):
+            torsion_profile(table, scene.beta, reversed_order=reversed_order)
+        assert compose_log == []
+        flow = psi_flow(table)
+        assert flow.map is flow.map
+        assert len(compose_log) == table.dim
+
+    @pytest.mark.parametrize("name, words", [
+        ("moment2", ((1,), (2,), (1,))),
+        ("moment2", ((1,), (2,), (1, 1))),        # vanished word
+        ("moment3", ((2,), (1, 2), (1,), (2,))),
+        ("curve0", ((1,), (2,), (1,))),
+    ])
+    def test_map_matches_outside_in_composition(self, name, words):
+        table = (_seeded_curve_table(0) if name == "curve0"
+                 else _moment_table(int(name[-1])))
+        assert iter_flow(table, words).map == _composed_outside_in(table, words)
 
 
 class TestJacobianDerivative:
