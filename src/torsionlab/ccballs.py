@@ -89,7 +89,7 @@ class BallSample:
     volume_estimate: float
     volume_stderr: float | None  # None for occupancy counts, which carry no error bar
     jac_range: tuple[float, float]
-    method: str
+    method: str  # change_of_variables, occupancy, or degenerate (jac_det == 0)
     n_samples: int
     seed: int
 
@@ -126,6 +126,7 @@ class BallMap:
     def __init__(self, table: WordTable, words: Sequence[Word]):
         n = self.n = table.dim
         flow = iter_flow(table, tuple(words))
+        self.degenerate = flow.jac_det.is_zero()  # exact: the image has measure zero
         self._map = MapEvaluator(flow.map)
         self._jac = JacobianEvaluator(flow.map, wrt=list(range(n, 2 * n)))
         self._jac_det = MapEvaluator((flow.jac_det,))
@@ -216,9 +217,11 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
                 seed: int = 0) -> BallSample:
     """QMC image sample of a ball with a volume estimate.
 
-    When the Jacobian keeps one sign across the sampled box, the volume is the
-    change-of-variables integral of |det|; a sign change (or a vanishing
-    Jacobian) falls back to occupancy counting over a bounding-box grid.
+    An exactly vanishing Jacobian determinant means an image of measure zero,
+    reported as volume 0 with error 0.  When the Jacobian keeps one sign
+    across the sampled box, the volume is the change-of-variables integral of
+    |det|; a sign change falls back to occupancy counting over a bounding-box
+    grid.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -231,8 +234,9 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
     pts = ball.push(center, t)
     jac = ball.jac_at(center, t)
     box_vol = float(np.prod(2.0 * hw))
-    degenerate = np.abs(jac).max() == 0.0
-    if not degenerate and (np.all(jac > 0) or np.all(jac < 0)):
+    if ball.degenerate:
+        vol, stderr, method = 0.0, 0.0, "degenerate"
+    elif np.all(jac > 0) or np.all(jac < 0):
         vals = np.abs(jac) * box_vol
         vol = float(vals.mean())
         stderr = float(vals.std() / np.sqrt(n_samples))

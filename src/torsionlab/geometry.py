@@ -267,29 +267,34 @@ class FlowMap:
         return [m.eval(pt) for m in self.map]
 
 
-def lie_series_flow(x: PolyVectorField, max_terms: int = 40) -> FlowMap:
-    """Terminating Lie series for the flow of a polynomial field.
+def lie_series(x: PolyVectorField, max_terms: int = 40) -> list[list[RatPoly]]:
+    """Levels X^k(coords) of the terminating Lie series of a polynomial field.
 
-    map_i = sum_k t^k/k! X^k(coord_i); raises NonTerminatingSeries when the
-    derivation tower is still nonzero after max_terms steps (the flow is then
-    not polynomial within budget).
+    Level k holds X^k applied to each coordinate, up to the last nonzero
+    level; raises NonTerminatingSeries when the derivation tower is still
+    nonzero after max_terms steps (the flow is then not polynomial within
+    budget).
     """
-    n = x.dim
-    coords = RatPoly.variables(n)
-    current = coords
-    series: list[list[RatPoly]] = [list(coords)]
-    k = 0
+    current = RatPoly.variables(x.dim)
+    series: list[list[RatPoly]] = [current]
     while True:
-        nxt = [x.apply_to(p) for p in current]
-        if all(p.is_zero() for p in nxt):
-            break
-        k += 1
-        if k >= max_terms:
+        current = [x.apply_to(p) for p in current]
+        if all(p.is_zero() for p in current):
+            return series
+        if len(series) >= max_terms:
             raise NonTerminatingSeries(
                 f"X^{max_terms}(coords) is nonzero; flow not polynomial within budget"
             )
-        series.append(nxt)
-        current = nxt
+        series.append(current)
+
+
+def lie_series_flow(x: PolyVectorField, max_terms: int = 40) -> FlowMap:
+    """Terminating Lie series for the flow of a polynomial field.
+
+    map_i = sum_k t^k/k! X^k(coord_i), from the levels of ``lie_series``.
+    """
+    n = x.dim
+    series = lie_series(x, max_terms)
     t = RatPoly.variable(n + 1, n)
     weights = [t ** j * Fraction(1, math.factorial(j)) for j in range(len(series))]
     out = []

@@ -16,8 +16,9 @@ the one answer to "coordinates in, or defect from, the span of these
 vectors", for word coordinates, the Malcev ad matrices and the normalizer
 chain.
 ``exp_neg_ad`` is the one exp(-s ad A) series, for the torsion Jacobian's
-pushforward columns and the group law's Maurer-Cartan matrix.  Flows are
-composed by ``geometry.compose_flow``; Jacobians are ``PolyMatrix.jacobian``.
+pushforward columns and the group law's Maurer-Cartan matrix.  The covering
+map composes flows by ``geometry.compose_flow``; the group law sums the levels
+of ``geometry.lie_series`` at time 1.  Jacobians are ``PolyMatrix.jacobian``.
 
 Convention tying the group law to concrete flows: let Phi_x flow e_0 for time
 x_0 first, then e_1, and so on, and let X(v) be the field of sum_i v_i e_i.
@@ -38,6 +39,7 @@ from .geometry import (
     Word,
     WordTable,
     compose_flow,
+    lie_series,
     lie_series_flow,
     nilpotency_step,
 )
@@ -516,7 +518,9 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
     unipotent lower triangular and C^-1 is a forward substitution.  r is the
     time-1 flow in x1 of C(x1)^-1 x2, and q that of C(x1)^-1 Ad(psi(x1)^-1) x2,
     with Ad(psi(x)^-1) = exp(-x_(N-1) ad e_(N-1)) ... exp(-x_0 ad e_0); both
-    flows hold x2 constant and terminate because the law is polynomial.
+    flows hold x2 constant and terminate because the law is polynomial.  Each
+    is summed straight from its Lie series, x1_i -> sum_k X^k(x1_i)/k!, with
+    no flow map in a time variable to compose.
     """
     ads = _malcev_struct(basis)
     N = len(ads)
@@ -542,11 +546,14 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
             "Maurer-Cartan matrix is not unipotent lower triangular; algebra data bad")
 
     def time1_flow(b: list[RatPoly]) -> list[RatPoly]:
+        """sum_k X^k(x1_i)/k! for X = C(x1)^-1 b, the time-1 flow in x1."""
         y: list[RatPoly] = []
         for r in range(N):  # C y = b
             y.append(b[r] - sum((C[j][r] * y[j] for j in range(r)), RatPoly.zero(nv)))
-        field = PolyVectorField(tuple(y) + (RatPoly.zero(nv),) * N)
-        return compose_flow(lie_series_flow(field), one, xs)[:N]
+        series = lie_series(PolyVectorField(tuple(y) + (RatPoly.zero(nv),) * N))
+        weights = [Fraction(1, math.factorial(k)) for k in range(len(series))]
+        return [sum((level[i] * w for level, w in zip(series, weights)), RatPoly.zero(nv))
+                for i in range(N)]
 
     r = time1_flow(xs[N:])
     q = time1_flow(exp_neg_ads({unit(N + i, nv): unit(i, N) for i in range(N)}, range(N)))

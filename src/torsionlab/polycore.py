@@ -8,12 +8,20 @@ module touches floating point.
 Scalars are ``fractions.Fraction`` throughout: the stdlib type already
 maintains the reduced-form and positive-denominator invariants we need.
 
+Sums and products run one term-dict kernel (``_add_terms``, ``_mul_terms``)
+that works for int and Fraction coefficients alike.  ``PolyMatrix.det`` uses
+it on integer rows: each row is scaled once by the lcm of its denominators,
+Bareiss elimination (Bareiss 1968) divides exactly in ints
+(``_divexact_terms``), and Fractions are made only for the returned
+determinant.
+
 Serialization uses a canonical graded-lexicographic term order so that equal
 polynomials always produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -30,6 +38,86 @@ class ExactDivisionError(ArithmeticError):
 
 def _grlex_key(exp: Exponent) -> tuple[int, Exponent]:
     return (sum(exp), exp)
+
+
+# -- term-dict kernel ----------------------------------------------------------
+# A term dict maps exponent tuples to nonzero int or Fraction coefficients.  A
+# cancelled term is deleted, so a later one re-inserts it at the end: the term
+# order is part of the result (floats sum in it), and RatPoly and det share
+# these loops so that both keep it.
+
+def _add_terms(a: dict, b: dict) -> dict:
+    if not a:
+        # common: sums start at 0, and many bracket and det products are 0
+        return dict(b)
+    out = dict(a)
+    for exp, c in b.items():
+        s = out.get(exp)
+        if s is None:
+            out[exp] = c
+        else:
+            s += c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            s = out.get(e)
+            if s is None:
+                out[e] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return out
+
+
+def _neg_terms(a: dict) -> dict:
+    return {e: -c for e, c in a.items()}
+
+
+def _divexact_terms(a: dict, d: dict) -> dict:
+    """Quotient a / d of int term dicts, d nonzero; raises ExactDivisionError
+    on a remainder."""
+    d_exp = max(d, key=_grlex_key)
+    d_c = d[d_exp]
+    if len(d) == 1:
+        # a monomial divides term by term; almost every Bareiss division in
+        # det is by one, mostly a constant
+        if d_c == 1 and not any(d_exp):
+            return a
+        out = {}
+        for exp, c in a.items():
+            q_exp = tuple(x - y for x, y in zip(exp, d_exp))
+            if any(e < 0 for e in q_exp):
+                raise ExactDivisionError("leading term not divisible")
+            q, r = divmod(c, d_c)
+            if r:
+                raise ExactDivisionError("coefficient not divisible")
+            out[q_exp] = q
+        return out
+    rem, quo = a, {}
+    while rem:
+        r_exp = max(rem, key=_grlex_key)
+        q_exp = tuple(x - y for x, y in zip(r_exp, d_exp))
+        if any(e < 0 for e in q_exp):
+            raise ExactDivisionError("leading term not divisible")
+        q, r = divmod(rem[r_exp], d_c)
+        if r:
+            raise ExactDivisionError("coefficient not divisible")
+        # leading exponents strictly fall, so each quotient term is new
+        quo[q_exp] = q
+        rem = _add_terms(rem, _mul_terms({q_exp: -q}, d))
+    return quo
 
 
 class RatPoly:
@@ -136,26 +224,12 @@ class RatPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms:
-            # common: sums start at 0, and many bracket and det products are 0
-            return RatPoly._of(self.nvars, dict(other.terms))
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            if s is None:
-                out[exp] = c
-            else:
-                s += c
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return RatPoly._of(self.nvars, out)
+        return RatPoly._of(self.nvars, _add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
+        return RatPoly._of(self.nvars, _neg_terms(self.terms))
 
     def __sub__(self, other) -> "RatPoly":
         other = self._coerce(other)
@@ -170,24 +244,7 @@ class RatPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
-            return RatPoly.zero(self.nvars)
-        # a cancelled term is deleted, so a later product re-inserts it at
-        # the end: the term order is part of the result (floats sum in it)
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return RatPoly._of(self.nvars, out)
+        return RatPoly._of(self.nvars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -308,35 +365,6 @@ class RatPoly:
             coeff.terms[tuple(rest)] = c
         return out
 
-    def divexact(self, divisor: "RatPoly") -> "RatPoly":
-        """Exact division; raises ExactDivisionError on a nonzero remainder."""
-        if divisor.nvars != self.nvars:
-            raise ValueError("nvars mismatch")
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        d_exp, d_c = divisor.leading()
-        if len(divisor.terms) == 1:
-            # a monomial divides term by term; almost every Bareiss
-            # division in det is by one, mostly the constant 1
-            out = {}
-            for exp, c in self.terms.items():
-                q_exp = tuple(a - b for a, b in zip(exp, d_exp))
-                if any(e < 0 for e in q_exp):
-                    raise ExactDivisionError("leading term not divisible")
-                out[q_exp] = c / d_c
-            return RatPoly._of(self.nvars, out)
-        rem = self
-        quo = RatPoly.zero(self.nvars)
-        while not rem.is_zero():
-            r_exp, r_c = rem.leading()
-            q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in q_exp):
-                raise ExactDivisionError("leading term not divisible")
-            t = RatPoly(self.nvars, {q_exp: r_c / d_c})
-            quo = quo + t
-            rem = rem - t * divisor
-        return quo
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -409,10 +437,14 @@ class PolyMatrix:
         return self.entries[ij[0]][ij[1]]
 
     def det(self) -> RatPoly:
-        """Determinant via fraction-free (Bareiss) elimination.
+        """Determinant via fraction-free (Bareiss) elimination on integer rows.
 
-        Intermediate entries stay polynomial: every division in the recurrence
-        is exact over the base ring.
+        Each row is scaled once by the lcm of its coefficients' denominators,
+        every Bareiss division is then exact in Z[x], and the result is divided
+        once by the product of the row scales.  Each integer entry is the
+        rational one times a nonzero constant shared by every term of each
+        product and difference, so terms cancel, and the result's term order
+        comes out, as in rational elimination.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -420,22 +452,26 @@ class PolyMatrix:
         if n == 0:
             return RatPoly.const(0, 1)
         nv = self.nvars
-        m = [[self.entries[i][j] for j in range(n)] for i in range(n)]
-        sign = 1
-        prev = RatPoly.const(nv, 1)
+        m, scale = [], 1
+        for row in self.entries:
+            s = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+            m.append([{e: c.numerator * (s // c.denominator) for e, c in p.terms.items()}
+                      for p in row])
+            scale *= s
+        prev = {(0,) * nv: 1}
         for k in range(n - 1):
-            if m[k][k].is_zero():
-                swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if not m[k][k]:
+                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
                 if swap is None:
                     return RatPoly.zero(nv)
                 m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
+                scale = -scale
+            pivot, row_k = m[k][k], m[k]
+            for row in m[k + 1:]:
+                head = row[k]
                 for j in range(k + 1, n):
-                    num = m[i][j] * pivot - m[i][k] * m[k][j]
-                    m[i][j] = num.divexact(prev)
-                m[i][k] = RatPoly.zero(nv)
+                    num = _add_terms(_mul_terms(row[j], pivot),
+                                     _neg_terms(_mul_terms(head, row_k[j])))
+                    row[j] = _divexact_terms(num, prev)
             prev = pivot
-        result = m[n - 1][n - 1]
-        return result if sign == 1 else -result
+        return RatPoly._of(nv, {e: Fraction(c, scale) for e, c in m[n - 1][n - 1].items()})

@@ -49,24 +49,28 @@ class TestBallSample:
         assert spec.box_halfwidths() == [0.5, 0.25, 0.125]
 
     def test_degenerate_tuple_small_volume(self, moment2):
-        spec = spec_for([(1,), (1,), (1,)], Fraction(1, 4))
-        s = ball_sample(moment2["table"], spec, 800, seed=3)
-        assert s.method == "occupancy"
-        # image is a segment: occupancy volume collapses with the grid
-        assert s.volume_estimate < 1e-2
-        # X1 twice and X2: the image is a surface, which meets 40 of the 125
-        # cells of the 5^3 grid; counting distinct coordinates would give 5
-        surface = ball_sample(moment2["table"], spec_for([(1,), (1,), (2,)], Fraction(1, 4)),
-                              800, seed=3)
-        assert surface.method == "occupancy" and surface.volume_estimate > 0
-        for sample in (s, surface):
-            # distinct occupied cells over the bounding box, times the cell volume
-            pts = sample.points
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            span = np.maximum(hi - lo, 1e-300)
-            scaled = np.clip(((pts - lo) / span * 5).astype(int), 0, 4)
-            cells = {tuple(row) for row in scaled.tolist()}
-            assert sample.volume_estimate == len(cells) * float(np.prod(span / 5))
+        # X1 three times gives a segment and X1 twice then X2 a surface: the
+        # Jacobian is exactly 0, so the volume is exactly 0, with error 0
+        for words in ([(1,), (1,), (1,)], [(1,), (1,), (2,)]):
+            s = ball_sample(moment2["table"], spec_for(words, Fraction(1, 4)), 800, seed=3)
+            assert (s.method, s.volume_estimate, s.volume_stderr) == ("degenerate", 0.0, 0.0)
+            assert s.jac_range == (0.0, 0.0) and s.points.shape == (800, 3)
+
+    def test_sign_changing_jacobian_counts_cells(self, moment2):
+        # Psi = (X1, X2, X1) has Jacobian -2 t_2, which changes sign on the box
+        s = ball_sample(moment2["table"], spec_for([(1,), (2,), (1,)], Fraction(1, 4)),
+                        800, seed=3)
+        assert s.method == "occupancy" and s.volume_stderr is None
+        assert s.jac_range[0] < 1e-2 < s.jac_range[1]
+        # distinct occupied cells of the 5^3 grid over the bounding box, times
+        # the cell volume; counting distinct coordinates would give at most 5
+        pts = s.points
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        span = np.maximum(hi - lo, 1e-300)
+        scaled = np.clip(((pts - lo) / span * 5).astype(int), 0, 4)
+        cells = {tuple(row) for row in scaled.tolist()}
+        assert len(cells) > 5
+        assert s.volume_estimate == len(cells) * float(np.prod(span / 5))
 
     def test_positive_samples_required(self, moment2):
         with pytest.raises(ValueError):

@@ -122,14 +122,26 @@ class TestSubcommands:
         assert (wide["radius_small"], wide["radius_inflated"]) == (2.0, 4.0)
 
     def test_occupancy_sample_reports_null_stderr(self, tmp_path, capsys):
-        # a repeated word makes the Jacobian vanish, which forces occupancy counting
+        # Psi's Jacobian -2 t_2 changes sign on the box, which forces occupancy counting
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"center": [0, 0, 0], "words": [[1], [2], [1]],
+                                    "alpha": [1, 1]}))
+        code, out = run(["ccball", "--scene", "builtin:moment2", "--spec", str(spec),
+                         "--samples", "200"], capsys)
+        assert code == 0
+        assert out["method"] == "occupancy" and out["volume_stderr"] is None
+        assert out["volume_estimate"] > 0
+
+    def test_degenerate_sample_reports_zero_volume(self, tmp_path, capsys):
+        # a repeated word makes the Jacobian vanish exactly: the image has measure zero
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"center": [0, 0, 0], "words": [[1], [1], [2]],
                                     "alpha": [1, 1]}))
         code, out = run(["ccball", "--scene", "builtin:moment2", "--spec", str(spec),
                          "--samples", "200"], capsys)
         assert code == 0
-        assert out["method"] == "occupancy" and out["volume_stderr"] is None
+        assert (out["method"], out["volume_estimate"], out["volume_stderr"]) == (
+            "degenerate", 0.0, 0.0)
 
     def test_polyalg_refine(self, capsys):
         code, out = run(

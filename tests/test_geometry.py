@@ -15,6 +15,7 @@ from torsionlab.geometry import (
     build_word_table,
     hodge_star_field,
     lie_bracket,
+    lie_series,
     lie_series_flow,
     nilpotency_step,
     word_degree,
@@ -204,6 +205,17 @@ class TestLieSeriesFlow:
         fm = lie_series_flow(X2)
         x0, x1, x2, s = RatPoly.variables(4)
         assert fm.map == (x0 + s, x1 + x2 * s * 2 + s ** 2, x2 + s)
+
+    def test_series_levels_and_budget(self):
+        # X = (1, 2 x2, 1): levels coords, X(coords), X^2(coords), then zero
+        xs = RatPoly.variables(3)
+        X2 = PolyVectorField((RatPoly.const(3, 1), xs[2] * 2, RatPoly.const(3, 1)))
+        one, zero = RatPoly.const(3, 1), RatPoly.zero(3)
+        assert lie_series(X2, max_terms=3) == [xs, [one, xs[2] * 2, one],
+                                               [zero, RatPoly.const(3, 2), zero]]
+        with pytest.raises(NonTerminatingSeries):
+            lie_series(X2, max_terms=2)
+        assert lie_series_flow(X2, max_terms=3).terms_used == 3
 
     def test_non_polynomial_flow_rejected(self):
         x = RatPoly.variable(1, 0)

@@ -14,12 +14,15 @@ import pytest
 
 from torsionlab import nilpotent
 from torsionlab.geometry import (
+    NonTerminatingSeries,
     NotNilpotentWithinCap,
     PolyMap,
     PolyVectorField,
     build_word_table,
+    compose_flow,
     hodge_star_field,
     lie_bracket,
+    lie_series,
     lie_series_flow,
 )
 from torsionlab.nilpotent import (
@@ -615,6 +618,42 @@ class TestGroupLaw:
             L1 = log_psi(x1)
             assert log_psi([p.eval(x1 + x2) for p in gl.r]) == bch(alg, L1, x2)
             assert log_psi([p.eval(x1 + x2) for p in gl.q]) == bch(alg, x2, L1)
+
+
+class TestTimeOneFlow:
+    """group_law sums X^k(x_i)/k! from the Lie series levels; the reference is
+    the full flow composed with t = 1."""
+
+    @pytest.mark.parametrize("name", ["moment3", "moment4", "power2d_k3", "seeded"])
+    def test_matches_composed_flow(self, name, monkeypatch):
+        if name == "seeded":
+            table = seeded_curve_table(7)
+        else:
+            scene = moment_curve_scene(4) if name == "moment4" else builtin_scene(name)
+            table = scene.word_table()
+        basis = malcev_at(table, [Fraction(1, 3)] * table.dim)
+        fields = []
+
+        def spy(field, *args):
+            fields.append(field)
+            return lie_series(field, *args)
+
+        monkeypatch.setattr(nilpotent, "lie_series", spy)
+        gl = group_law(basis)
+        N = gl.dim
+        assert len(fields) == 2  # r, then q
+        one = RatPoly.const(2 * N, 1)
+        for law, field in zip((gl.r, gl.q), fields):
+            assert any(not c.is_constant() for c in field.components[:N])
+            want = compose_flow(lie_series_flow(field), one, RatPoly.variables(2 * N))[:N]
+            for got, ref in zip(law, want):
+                assert list(got.terms.items()) == list(ref.terms.items())
+
+    def test_series_beyond_the_budget_raises(self, monkeypatch):
+        basis = malcev_at(moment_curve_scene(3).word_table(), [0] * 4)
+        monkeypatch.setattr(nilpotent, "lie_series", functools.partial(lie_series, max_terms=2))
+        with pytest.raises(NonTerminatingSeries):
+            group_law(basis)
 
 
 class TestCoveringMap:

@@ -1,5 +1,6 @@
 """Exact polynomial core: examples with independent oracles plus ring laws."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsionlab.polycore import ExactDivisionError, PolyMatrix, RatPoly
+from torsionlab.polycore import (
+    ExactDivisionError,
+    PolyMatrix,
+    RatPoly,
+    _divexact_terms,
+    _mul_terms,
+)
 
 
 def minor(matrix: PolyMatrix, drop_row: int, drop_col: int) -> PolyMatrix:
@@ -254,25 +261,138 @@ class TestTermOrder:
         assert cancelled > 50
 
 
+def integer_terms(p):
+    """p times the lcm of its denominators, as an int term dict."""
+    s = math.lcm(*(c.denominator for c in p.terms.values()))
+    return {e: int(c * s) for e, c in p.terms.items()}
+
+
 class TestDivexact:
+    """The kernel's exact division of int term dicts, which det runs."""
+
     @given(rat_polys(nvars=2, max_terms=3), rat_polys(nvars=2, max_terms=3))
     @settings(max_examples=40, deadline=None)
     def test_product_division_roundtrip(self, a, b):
         if b.is_zero():
             return
-        assert (a * b).divexact(b) == a
+        a, b = integer_terms(a), integer_terms(b)
+        assert _divexact_terms(_mul_terms(a, b), b) == a
 
     def test_inexact_division_raises(self):
-        x, y = RatPoly.variables(2)
-        with pytest.raises(ExactDivisionError):
-            (x * x + y).divexact(x + 1)
-        with pytest.raises(ExactDivisionError):  # a monomial divisor
-            (x * x + y).divexact(x * 3)
+        x2, y, x, one = (2, 0), (0, 1), (1, 0), (0, 0)
+        for num, den in [
+            ({x2: 1, y: 1}, {x: 1, one: 1}),  # leading term, long division
+            ({x2: 1, y: 1}, {x: 3}),          # leading term, a monomial divisor
+            ({x2: 3}, {x: 2}),                # coefficient, a monomial divisor
+            ({x2: 1, x: 1}, {x: 2, one: 2}),  # coefficient, long division: x/2
+        ]:
+            with pytest.raises(ExactDivisionError):
+                _divexact_terms(num, den)
 
     def test_monomial_divisor(self):
-        x, y = RatPoly.variables(2)
-        assert (x * x * y * 6 + x * y * 4).divexact(x * y * 2) == x * 3 + 2
-        assert (x + y).divexact(RatPoly.const(2, Fraction(1, 2))) == x * 2 + y * 2
+        x, xy, x2y = (1, 0), (1, 1), (2, 1)
+        assert _divexact_terms({x2y: 6, xy: 4}, {xy: 2}) == {x: 3, (0, 0): 2}
+        assert _divexact_terms({x: 2, (0, 1): -2}, {(0, 0): -2}) == {x: -1, (0, 1): 1}
+        assert _divexact_terms({x: 5}, {(0, 0): 1}) == {x: 5}
+
+
+def former_divexact(p, divisor):
+    """The former Fraction RatPoly.divexact, kept as the reference for det."""
+    d_exp, d_c = divisor.leading()
+    if len(divisor.terms) == 1:
+        out = {}
+        for exp, c in p.terms.items():
+            q_exp = tuple(a - b for a, b in zip(exp, d_exp))
+            if any(e < 0 for e in q_exp):
+                raise ExactDivisionError("leading term not divisible")
+            out[q_exp] = c / d_c
+        return RatPoly(p.nvars, out)
+    rem = p
+    quo = RatPoly.zero(p.nvars)
+    while not rem.is_zero():
+        r_exp, r_c = rem.leading()
+        q_exp = tuple(a - b for a, b in zip(r_exp, d_exp))
+        if any(e < 0 for e in q_exp):
+            raise ExactDivisionError("leading term not divisible")
+        t = RatPoly(p.nvars, {q_exp: r_c / d_c})
+        quo = quo + t
+        rem = rem - t * divisor
+    return quo
+
+
+def former_det(matrix, seen):
+    """The former Fraction Bareiss PolyMatrix.det, kept as the reference.
+
+    ``seen`` counts the row swaps and the divisions by a non-monomial pivot.
+    """
+    n = matrix.rows
+    if n == 0:
+        return RatPoly.const(0, 1)
+    nv = matrix.nvars
+    m = [[matrix.entries[i][j] for j in range(n)] for i in range(n)]
+    sign = 1
+    prev = RatPoly.const(nv, 1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return RatPoly.zero(nv)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+            seen["swaps"] += 1
+        pivot = m[k][k]
+        seen["long"] += len(prev.terms) > 1
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * pivot - m[i][k] * m[k][j]
+                m[i][j] = former_divexact(num, prev)
+            m[i][k] = RatPoly.zero(nv)
+        prev = pivot
+    result = m[n - 1][n - 1]
+    return result if sign == 1 else -result
+
+
+def random_poly_matrix(rng, n, nv):
+    """Sparse entries with small exponents; denominators up to 10^12; some
+    rows zero and some leading entries zero, so that rows are swapped."""
+    def entry():
+        if rng.random() < 0.3:
+            return RatPoly.zero(nv)
+        den = rng.choice([1, 1, 2, 3, 7, 10 ** rng.randint(1, 12), rng.randint(1, 10 ** 12)])
+        return RatPoly(nv, {tuple(rng.randint(0, 2) for _ in range(nv)):
+                            Fraction(rng.randint(-9, 9), den)
+                            for _ in range(rng.randint(1, 3))})
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        rows[0][0] = RatPoly.zero(nv)
+    if n > 1 and rng.random() < 0.1:
+        rows[rng.randrange(n)] = [RatPoly.zero(nv)] * n
+    return PolyMatrix.from_rows(rows)
+
+
+class TestIntegerDet:
+    def test_matches_fraction_bareiss(self):
+        # value and term order: RatPoly term order feeds float sums downstream
+        rng = random.Random(23)
+        seen = {"swaps": 0, "long": 0}
+        zero = nonconstant = 0
+        for _ in range(250):
+            m = random_poly_matrix(rng, rng.randint(1, 4), rng.randint(1, 2))
+            got, want = m.det(), former_det(m, seen)
+            assert got == want
+            assert list(got.terms.items()) == list(want.terms.items())
+            zero += got.is_zero()
+            nonconstant += not got.is_constant()
+        assert seen["swaps"] > 20 and seen["long"] > 20
+        assert zero > 20 and nonconstant > 100
+
+    def test_empty_and_one_by_one(self):
+        assert PolyMatrix.from_rows([]).det() == RatPoly.const(0, 1)
+        p = RatPoly(2, {(1, 0): Fraction(3, 10 ** 12), (0, 0): Fraction(-1, 7)})
+        got = PolyMatrix.from_rows([[p]]).det()
+        assert list(got.terms.items()) == list(p.terms.items())
+        assert PolyMatrix.from_rows([[RatPoly.zero(2)]]).det().is_zero()
 
 
 class TestSerialization:
