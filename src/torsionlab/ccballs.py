@@ -85,7 +85,6 @@ class BallSpec:
 @dataclass
 class BallSample:
     spec: BallSpec
-    points: np.ndarray
     volume_estimate: float
     volume_stderr: float | None  # None for occupancy counts, which carry no error bar
     jac_range: tuple[float, float]
@@ -229,9 +228,10 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
     center = _float_center(spec.center)
     n = ball.n
     hw = np.array(spec.box_halfwidths())
-    u = halton(n, n_samples, seed=seed)
-    t = (2.0 * u - 1.0) * hw
-    pts = ball.push(center, t)
+    t = halton(n, n_samples, seed=seed)  # (2u - 1) * hw, in place
+    t *= 2.0
+    t -= 1.0
+    t *= hw
     jac = ball.jac_at(center, t)
     box_vol = float(np.prod(2.0 * hw))
     if ball.degenerate:
@@ -242,6 +242,7 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
         stderr = float(vals.std() / np.sqrt(n_samples))
         method = "change_of_variables"
     else:
+        pts = ball.push(center, t)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         span = np.maximum(hi - lo, 1e-300)
@@ -252,7 +253,6 @@ def ball_sample(table: WordTable, spec: BallSpec, n_samples: int,
         method = "occupancy"
     return BallSample(
         spec=spec,
-        points=pts,
         volume_estimate=vol,
         volume_stderr=stderr,
         jac_range=(float(np.abs(jac).min()), float(np.abs(jac).max())),

@@ -537,9 +537,11 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
             col = exp_neg_ad(ads[i], col, i, N)
             if col is None:
                 raise ArithmeticError(f"ad e_{i} is not nilpotent; algebra data bad")
-        return [RatPoly(nv, {e: v[r] for e, v in col.items()}) for r in range(N)]
+        return [RatPoly._of(nv, {e: v[r] for e, v in col.items() if v[r]}) for r in range(N)]
 
-    C = [exp_neg_ads({(0,) * nv: unit(j, N)}, range(j + 1, N)) for j in range(N)]
+    # Fraction entries: the last column meets no exp_neg_ad before RatPoly._of
+    C = [exp_neg_ads({(0,) * nv: [Fraction(k) for k in unit(j, N)]}, range(j + 1, N))
+         for j in range(N)]
     if any(C[j][j] != one or any(not C[j][r].is_zero() for r in range(j))
            for j in range(N)):
         raise ArithmeticError(

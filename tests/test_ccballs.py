@@ -54,17 +54,19 @@ class TestBallSample:
         for words in ([(1,), (1,), (1,)], [(1,), (1,), (2,)]):
             s = ball_sample(moment2["table"], spec_for(words, Fraction(1, 4)), 800, seed=3)
             assert (s.method, s.volume_estimate, s.volume_stderr) == ("degenerate", 0.0, 0.0)
-            assert s.jac_range == (0.0, 0.0) and s.points.shape == (800, 3)
+            assert s.jac_range == (0.0, 0.0)
 
     def test_sign_changing_jacobian_counts_cells(self, moment2):
         # Psi = (X1, X2, X1) has Jacobian -2 t_2, which changes sign on the box
-        s = ball_sample(moment2["table"], spec_for([(1,), (2,), (1,)], Fraction(1, 4)),
-                        800, seed=3)
+        spec = spec_for([(1,), (2,), (1,)], Fraction(1, 4))
+        s = ball_sample(moment2["table"], spec, 800, seed=3)
         assert s.method == "occupancy" and s.volume_stderr is None
         assert s.jac_range[0] < 1e-2 < s.jac_range[1]
-        # distinct occupied cells of the 5^3 grid over the bounding box, times
-        # the cell volume; counting distinct coordinates would give at most 5
-        pts = s.points
+        # distinct occupied cells of the 5^3 grid over the bounding box of
+        # the image of the same Halton box points, times the cell volume;
+        # counting distinct coordinates would give at most 5
+        t = (2.0 * halton(3, 800, seed=3) - 1.0) * np.array(spec.box_halfwidths())
+        pts = BallMap(moment2["table"], spec.words).push(np.zeros(3), t)
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         span = np.maximum(hi - lo, 1e-300)
         scaled = np.clip(((pts - lo) / span * 5).astype(int), 0, 4)

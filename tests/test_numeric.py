@@ -12,6 +12,7 @@ from torsionlab.numeric import (
     newton_preimage,
 )
 from torsionlab.polycore import RatPoly
+from torsionlab.sampling import halton
 
 
 def components():
@@ -71,6 +72,31 @@ def test_output_is_column_major_and_blind_to_the_input_order():
         assert from_c.tobytes() == from_f.tobytes()
     vals = MapEvaluator(components())(c_pts)
     assert vals.flags.f_contiguous and not vals.flags.c_contiguous
+
+
+def test_powers_are_left_to_right_products():
+    # Halton coordinates 1 and 2 (coordinate 0, in base 2, is dyadic and its
+    # cubes are exact), mapped to [-1, 1): mixed signs, none zero, F-ordered
+    pts = 2.0 * halton(3, 65536, seed=1)[:, 1:] - 1.0
+    assert pts.flags.f_contiguous and (pts < 0).any() and (pts > 0).any() and pts.all()
+    a, b = pts[:, 0], pts[:, 1]
+    x, y = RatPoly.variables(2)
+    comps = [x ** 3, x ** 4 * y, x ** 2 * y ** 5]
+    # x^e is ((x * x) * x) ... * x; a term is c times its factors in turn
+    want = [1.0 * (a * a * a), 1.0 * (a * a * a * a) * b, 1.0 * (a * a) * (b * b * b * b * b)]
+    vals = MapEvaluator(comps)(pts)
+    for j, w in enumerate(want):
+        assert vals[:, j].tobytes() == w.tobytes()
+    jac = JacobianEvaluator(comps, [0, 1])(pts)
+    want = [[3.0 * (a * a), np.zeros_like(a)],
+            [4.0 * (a * a * a) * b, 1.0 * (a * a * a * a)],
+            [2.0 * a * (b * b * b * b * b), 5.0 * (a * a) * (b * b * b * b)]]
+    for j, row in enumerate(want):
+        for k, w in enumerate(row):
+            assert jac[:, j, k].tobytes() == w.tobytes()
+    # e = 2 keeps the bits of numpy's x ** 2
+    squares = MapEvaluator([x ** 2, y ** 2])(pts)
+    assert squares.tobytes() == (pts ** 2).tobytes()
 
 
 def test_wrong_point_shape_rejected():
