@@ -20,7 +20,7 @@ for many (center, point) pairs at once, in three steps:
    (|x|, box halfwidths).  A pair with |y_j - P0_j(x)| above R_j, the Newton
    tolerance and a float-rounding margin in some component has no preimage a
    start could land on inside the box: it is a decided non-member, and
-   Newton never sees it.
+   Newton never sees it.  Pairs are tested ``ENCLOSURE_PAIRS`` at a time.
 2. The box-center start, for every pair still open.
 3. The other starts, only for the pairs the center start did not land inside.
 
@@ -29,13 +29,27 @@ call per ``CHUNK_ROWS`` rows.  Newton rows never see each other (the
 evaluators are row-independent, batched solves factor each matrix on its own,
 and a singular Jacobian only affects its own row), so every membership mask
 is the one a single-center solve from every start would give, whatever the
-batch or the chunking.
+batch or the chunking.  ``members(..., pairs=P)`` decides only the flat
+(center, point) indices in P, and the other entries are False; an entry it
+decides has the bits the full call gives it.
+
+``vitali_cover`` picks its centers in blocks of consecutive candidates, with
+at most two ``members`` calls per block.  A block is as large as lets the
+second call ask no more than ``PAIRS_PER_CALL`` pairs, and holds at least one
+candidate.  The first call tests the centers picked so far against the
+block's clouds and drops every candidate one of them hits.  The second, with
+``pairs=``, tests each survivor's ball against the clouds of the later
+survivors only; a scan in candidate order then picks a survivor when no
+earlier pick in the block hits its cloud.  Since entries do not depend on the
+batch, the picks are those of one candidate at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,9 +61,16 @@ from .polytope import LambdaEntry
 from .sampling import halton
 from .torsion import iter_flow
 
-# rows per newton_preimage call, and pairs per enclosure block, in
-# BallMap.members; the qmc_mean shard size
+# rows per newton_preimage call in BallMap.members; the qmc_mean shard size
 CHUNK_ROWS = 65536
+# pairs per enclosure block in BallMap.members, few enough that the block's
+# temporaries stay in cache: a grid-10 cover at rho 0.25 tests 8 million
+# pairs, a third faster in blocks of 4096 than of 65536
+ENCLOSURE_PAIRS = 4096
+# most (center, point) pairs vitali_cover's in-block call asks, and so its
+# block size; at 8192, the open in-block pairs of a grid-6 cover at rho 16
+# raised its peak RSS by 18%
+PAIRS_PER_CALL = 2048
 # most candidate centers vitali_cover lays out: grid ** dim points of dim floats
 MAX_GRID_POINTS = 1 << 20
 
@@ -120,24 +141,40 @@ def _newton_starts(halfwidths: np.ndarray) -> np.ndarray:
 
 
 class BallMap:
-    """Float side of every ball of one word tuple: (x, t) -> Phi^I_x(t)."""
+    """Float side of every ball of one word tuple: (x, t) -> Phi^I_x(t).
+
+    Only the Jacobian determinant is compiled up front; the map, its
+    t-Jacobian and the enclosure are compiled on first use, so the flows are
+    composed only for a question that needs them.
+    """
 
     def __init__(self, table: WordTable, words: Sequence[Word]):
-        n = self.n = table.dim
-        flow = iter_flow(table, tuple(words))
-        self.degenerate = flow.jac_det.is_zero()  # exact: the image has measure zero
-        self._map = MapEvaluator(flow.map)
-        self._jac = JacobianEvaluator(flow.map, wrt=list(range(n, 2 * n)))
-        self._jac_det = MapEvaluator((flow.jac_det,))
-        # the enclosure: P0 at x, then (sum of |P0 terms|, R) at (|x|, box)
-        free = [{e: c for e, c in p.terms.items() if not any(e[n:])} for p in flow.map]
-        moving = [{e: c for e, c in p.terms.items() if any(e[n:])} for p in flow.map]
-        self._free = MapEvaluator([RatPoly(2 * n, d) for d in free])
-        self._bound = MapEvaluator([RatPoly(2 * n, {e: abs(c) for e, c in d.items()})
-                                    for d in free + moving])
+        self.n = table.dim
+        self._flow = iter_flow(table, tuple(words))
+        self.degenerate = self._flow.jac_det.is_zero()  # exact: the image has measure zero
+        self._jac_det = MapEvaluator((self._flow.jac_det,))
+
+    @cached_property
+    def _map(self) -> MapEvaluator:
+        return MapEvaluator(self._flow.map)
+
+    @cached_property
+    def _jac(self) -> JacobianEvaluator:
+        n = self.n
+        return JacobianEvaluator(self._flow.map, wrt=list(range(n, 2 * n)))
+
+    @cached_property
+    def _enclosure(self) -> tuple[MapEvaluator, MapEvaluator]:
+        """P0 at x, then (sum of |P0 terms|, R) at (|x|, box)."""
+        n = self.n
+        free = [{e: c for e, c in p.terms.items() if not any(e[n:])} for p in self._flow.map]
+        moving = [{e: c for e, c in p.terms.items() if any(e[n:])} for p in self._flow.map]
+        return (MapEvaluator([RatPoly(2 * n, d) for d in free]),
+                MapEvaluator([RatPoly(2 * n, {e: abs(c) for e, c in d.items()})
+                              for d in free + moving]))
 
     def push(self, center: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Phi^I_center(t) for the rows of t."""
+        """Phi^I_center(t) for the rows of t; center is one row or one per row."""
         return self._map(np.hstack([np.broadcast_to(center, t.shape), t]))
 
     def jac_at(self, center: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -145,12 +182,14 @@ class BallMap:
         return self._jac_det(np.hstack([np.broadcast_to(center, t.shape), t]))[:, 0]
 
     def members(self, centers: np.ndarray, ys: np.ndarray,
-                halfwidths: Sequence[float],
-                tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+                halfwidths: Sequence[float], tol: float = 1e-9,
+                pairs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(membership, inconclusive) masks of shape (len(centers), len(ys)).
 
         Entry (c, p) asks whether ys[p] lies in the ball at centers[c] with
-        these box halfwidths.  Pairs the enclosure rules out are non-members.
+        these box halfwidths.  ``pairs``, if given, holds the flat indices
+        c * len(ys) + p of the only entries to decide; the others are False
+        in both masks.  Pairs the enclosure rules out are non-members.
         For the rest, Phi(t) = y is solved from the box center, and from up to
         7 more deterministic starts inside the box where that one did not
         land inside; the point is a member when some start converges inside
@@ -163,27 +202,33 @@ class BallMap:
         hw = np.asarray(halfwidths, dtype=float)
         box = hw * (1 + 1e-9) + tol  # the inside test's box, and the enclosure's
         starts = _newton_starts(hw)
-        free = self._free(np.hstack([centers, np.zeros_like(centers)]))
+        free_at, bound_at = self._enclosure
+        free = free_at(np.hstack([centers, np.zeros_like(centers)]))
         size, reach = np.split(
-            self._bound(np.hstack([np.abs(centers), np.broadcast_to(box, centers.shape)])),
+            bound_at(np.hstack([np.abs(centers), np.broadcast_to(box, centers.shape)])),
             2, axis=1)
         shape = (len(centers), len(ys))
         total = len(centers) * len(ys)
-        pairs = [np.empty(0, dtype=int)]  # the flat (center, point) indices left open
-        for lo in range(0, total, CHUNK_ROWS):
-            pair = np.arange(lo, min(lo + CHUNK_ROWS, total))
+        if pairs is None:  # built chunk by chunk: a large question holds no full index
+            asked = (np.arange(lo, min(lo + ENCLOSURE_PAIRS, total))
+                     for lo in range(0, total, ENCLOSURE_PAIRS))
+        else:
+            asked = np.split(np.asarray(pairs, dtype=np.intp),
+                             range(ENCLOSURE_PAIRS, len(pairs), ENCLOSURE_PAIRS))
+        left = [np.empty(0, dtype=int)]  # the flat (center, point) indices left open
+        for pair in asked:
             c, p = np.divmod(pair, len(ys))
             # the 1e-9 term covers the float rounding of Phi, P0 and R, a small
             # multiple of 1e-16 times the same magnitudes
             slack = reach[c] + tol + 1e-9 * (size[c] + reach[c] + np.abs(ys[p]))
-            pairs.append(pair[~np.any(np.abs(ys[p] - free[c]) > slack, axis=1)])
-        pairs = np.concatenate(pairs)
+            left.append(pair[~np.any(np.abs(ys[p] - free[c]) > slack, axis=1)])
+        left = np.concatenate(left)
         member = np.zeros(total, dtype=bool)
         inconclusive = np.zeros(total, dtype=bool)
         # the box-center start for every open pair, the others where it missed
-        conv0, in0 = (a[:, 0] for a in self._solve(centers, ys, starts[:1], pairs, box, tol))
-        member[pairs[in0]] = True
-        rest = pairs[~in0]
+        conv0, in0 = (a[:, 0] for a in self._solve(centers, ys, starts[:1], left, box, tol))
+        member[left[in0]] = True
+        rest = left[~in0]
         conv, inside = self._solve(centers, ys, starts[1:], rest, box, tol)
         member[rest] = inside.any(axis=1)
         inconclusive[rest] = ~(conv0[~in0] | conv.any(axis=1))
@@ -353,9 +398,11 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
 
     The word tuple is the one maximizing |lambda_I| at the region center.
     Grid points where its |lambda_I| clears delta * |Lambda| are eligible
-    centers.  Selection uses balls of radius c^2 * rho, each tested against
-    the selected centers at 16 Halton points; coverage is then checked at the
-    inflated radius c * rho.
+    centers.  Selection uses balls of radius c^2 * rho: a candidate is picked
+    when no ball at an earlier pick holds any of the 16 Halton points of its
+    cloud.  The picks are made block-wise (see the module docstring) and are
+    the ones a selection of one candidate at a time gives.  Coverage is then
+    checked at the inflated radius c * rho.
     """
     _check_ball_params(rho, delta, c)
     n = table.dim
@@ -385,17 +432,38 @@ def vitali_cover(table: WordTable, entries: Sequence[LambdaEntry],
     r_big = c * rho
     ball = BallMap(table, words)
     t_cloud = (2.0 * halton(n, 16, seed=seed) - 1.0) * r_small
-    selected: list[np.ndarray] = []
-    centers = np.empty((0, n))  # the selected x, rounded as the balls see them
-    for x in eligible:
-        center = _float_center([Fraction(v).limit_denominator(10**9) for v in x])
-        hit, _ = ball.members(centers, ball.push(center, t_cloud), [r_small] * n)
-        if not hit.any():
-            selected.append(x)
-            centers = np.vstack([centers, center])
-    covered = ball.members(centers, eligible, [r_big] * n)[0].any(axis=0)
+    k = len(t_cloud)
+    hw = [r_small] * n
+    # the candidates as the balls see them, and their clouds
+    centers = np.array([_float_center([Fraction(v).limit_denominator(10**9) for v in x])
+                        for x in eligible])
+    clouds = ball.push(np.repeat(centers, k, axis=0),
+                       np.tile(t_cloud, (len(centers), 1))).reshape(-1, k, n)
+    # the in-block call asks k pairs for each of size * (size - 1) / 2
+    # (center, cloud); the call against the picks is chunked by members
+    size = (1 + math.isqrt(1 + 8 * (PAIRS_PER_CALL // k))) // 2
+    selected = np.empty(0, dtype=np.intp)
+    for start in range(0, len(eligible), size):
+        block = np.arange(start, min(start + size, len(eligible)))
+        if len(selected):  # drop the candidates an earlier pick hits
+            hit, _ = ball.members(centers[selected], clouds[block].reshape(-1, n), hw)
+            block = block[~hit.reshape(len(selected), len(block), k).any(axis=(0, 2))]
+        m = len(block)
+        hits = np.zeros((m, m), dtype=bool)
+        if m > 1:  # each survivor's ball against the clouds of the later survivors only
+            a, b = np.triu_indices(m, 1)
+            pairs = ((a * m + b)[:, None] * k + np.arange(k)).ravel()
+            hit, _ = ball.members(centers[block], clouds[block].reshape(-1, n), hw,
+                                  pairs=pairs)
+            hits = hit.reshape(m, m, k).any(axis=2)
+        picked: list[int] = []
+        for j in range(m):
+            if not hits[picked, j].any():
+                picked.append(j)
+        selected = np.concatenate([selected, block[picked]])
+    covered = ball.members(centers[selected], eligible, [r_big] * n)[0].any(axis=0)
     return {
-        "centers": [list(map(float, x)) for x in selected],
+        "centers": [list(map(float, x)) for x in eligible[selected]],
         "count": len(selected),
         "covered_fraction": float(covered.mean()),
         "eligible_points": int(len(eligible)),

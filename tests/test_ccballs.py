@@ -9,6 +9,7 @@ from torsionlab import ccballs
 from torsionlab.ccballs import BallMap, BallSpec, ball_sample, doubling_check, vitali_cover
 from torsionlab.numeric import JacobianEvaluator, MapEvaluator, newton_preimage
 from torsionlab.sampling import halton
+from torsionlab.scenes import moment_curve_scene
 from torsionlab.torsion import iter_flow
 
 
@@ -73,6 +74,16 @@ class TestBallSample:
         cells = {tuple(row) for row in scaled.tolist()}
         assert len(cells) > 5
         assert s.volume_estimate == len(cells) * float(np.prod(span / 5))
+
+    def test_flows_composed_only_for_occupancy(self):
+        # the volume of a one-signed or vanishing Jacobian needs only jac_det,
+        # which moment curves build without composing the flows
+        for words, method in (([(1,), (2,), (1, 2)], "change_of_variables"),
+                              ([(1,), (1,), (1,)], "degenerate")):
+            table = moment_curve_scene(2).word_table()
+            spec = spec_for(words, Fraction(1, 4))
+            assert ball_sample(table, spec, 200, seed=1).method == method
+            assert "map" not in iter_flow(table, spec.words).__dict__
 
     def test_positive_samples_required(self, moment2):
         with pytest.raises(ValueError):
@@ -145,6 +156,25 @@ class TestDoubling:
         # delta = 2 cannot be met: |lambda_I| = |Lambda| here, ratio 1 < 2
         assert r["verdict"] == "HypothesisNotMet"
 
+    # (members, Newton failures) of 100 samples: Pass needs a pass fraction of
+    # 0.99, and more than 1% failures make the check Inconclusive
+    @pytest.mark.parametrize("n_member, n_failed, verdict", [
+        (98, 0, "Fail"), (99, 0, "Pass"), (100, 2, "Inconclusive"), (100, 1, "Pass")])
+    def test_verdict_thresholds(self, moment2, monkeypatch, n_member, n_failed, verdict):
+        def chosen(self, centers, ys, halfwidths, tol=1e-9, pairs=None):
+            member = np.zeros((1, len(ys)), dtype=bool)
+            member[0, :n_member] = True
+            failed = np.zeros_like(member)
+            failed[0, len(ys) - n_failed:] = True
+            return member, failed
+
+        monkeypatch.setattr(BallMap, "members", chosen)
+        words = ((1,), (2,), (1, 2))
+        r = doubling_check(moment2["table"], moment2["entries"],
+                           [0, 0, 0], [0, 0, 0], words, words,
+                           rho=0.5, delta=1.0, n_samples=100, seed=1)
+        assert (r["newton_failures"], r["verdict"]) == (n_failed, verdict)
+
 
 class TestVitali:
     def test_single_ball_covers(self, moment2):
@@ -204,12 +234,35 @@ def reference_members(table, words, centers, ys, hw, tol=1e-9):
     return member, ~converged, late & member
 
 
+def reference_cover(table, report, grid, seed):
+    """(selected, covered_fraction) from one-center membership calls, one
+    candidate at a time, stopping at the first hit, over the whole grid."""
+    words = tuple(tuple(w) for w in report["words"])
+    assert report["eligible_points"] == grid ** 3  # the whole grid, in meshgrid order
+    axis = np.linspace(-0.5, 0.5, grid)
+    mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    ball = BallMap(table, words)
+    r_small, r_big = report["radius_small"], report["radius_inflated"]
+    t_cloud = (2.0 * halton(3, 16, seed=seed) - 1.0) * r_small
+    selected, centers = [], []
+    for x in mesh:
+        cloud = ball.push(rounded(x), t_cloud)
+        if not any(ball.members([c], cloud, [r_small] * 3)[0].any() for c in centers):
+            selected.append(list(map(float, x)))
+            centers.append(rounded(x))
+    covered = np.zeros(len(mesh), dtype=bool)
+    for c in centers:
+        covered |= ball.members([c], mesh, [r_big] * 3)[0][0]
+    return selected, float(covered.mean())
+
+
 class TestMembers:
     WORDS = ((1,), (2,), (1, 2))
 
     @pytest.mark.parametrize("chunk", [ccballs.CHUNK_ROWS, 37])
     def test_many_centers_equal_one_center_calls(self, moment2, monkeypatch, chunk):
         monkeypatch.setattr(ccballs, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(ccballs, "ENCLOSURE_PAIRS", chunk)
         ball = BallMap(moment2["table"], self.WORDS)
         centers = 0.4 * (2.0 * halton(3, 6, seed=4) - 1.0)
         ys = ball.push(np.zeros(3), 0.3 * (2.0 * halton(3, 25, seed=9) - 1.0))
@@ -261,6 +314,7 @@ class TestMembers:
             ref_member, ref_bad, late = reference_members(table, words, centers, ys, hw)
             for chunk in chunks:
                 monkeypatch.setattr(ccballs, "CHUNK_ROWS", chunk)
+                monkeypatch.setattr(ccballs, "ENCLOSURE_PAIRS", chunk)
                 seen.clear()
                 member, bad = ball.members(centers, ys, hw)
                 asked = np.array([[np.hstack([c, y]).tobytes() in seen for y in ys]
@@ -276,6 +330,31 @@ class TestMembers:
             edge_members += own[:, n_cloud::2].sum()
             edge_outsiders += (~own[:, n_cloud + 1::2]).sum()
         assert late_members > 0 and edge_members > 0 and edge_outsiders > 0
+
+    @pytest.mark.parametrize("chunk", [ccballs.CHUNK_ROWS, 7])
+    @pytest.mark.parametrize("fixture, words", [("moment2", ((1,), (2,), (1, 2))),
+                                                ("power2d_k2", ((2,), (1, 2)))])
+    def test_pairs_decide_only_their_entries(self, request, monkeypatch, chunk,
+                                             fixture, words):
+        monkeypatch.setattr(ccballs, "CHUNK_ROWS", chunk)
+        monkeypatch.setattr(ccballs, "ENCLOSURE_PAIRS", chunk)
+        table = request.getfixturevalue(fixture)["table"]
+        n = table.dim
+        ball = BallMap(table, words)
+        hw = np.array([0.3, 0.2, 0.1][:n])
+        centers = 0.6 * (2.0 * halton(n, 5, seed=7) - 1.0)
+        ts = 1.5 * hw * (2.0 * halton(n, 12, seed=2) - 1.0)
+        ys = np.vstack([ball.push(c, ts) for c in centers])
+        member, bad = ball.members(centers, ys, hw)
+        # half of the entries, in no particular order
+        pairs = np.random.default_rng(0).permutation(member.size)[:member.size // 2]
+        asked = np.zeros(member.size, dtype=bool)
+        asked[pairs] = True
+        asked = asked.reshape(member.shape)
+        m, b = ball.members(centers, ys, hw, pairs=pairs)
+        assert np.array_equal(m, member & asked) and np.array_equal(b, bad & asked)
+        # both outcomes among the asked entries, so the comparison can fail
+        assert member[asked].any() and not member[asked].all()
 
     def test_no_centers(self, moment2):
         ball = BallMap(moment2["table"], self.WORDS)
@@ -306,22 +385,35 @@ class TestMembers:
         # members makes two Newton passes, so a call with more than two
         # newton_preimage calls split one of its passes into chunks
         assert max(per_question) > 2 and max(solves) == 1000
-        words = tuple(tuple(w) for w in r["words"])
-        assert r["eligible_points"] == 125  # the whole grid, in meshgrid order
-        axis = np.linspace(-0.5, 0.5, 5)
-        mesh = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-        # reference: one-center membership calls, stopping at the first hit
-        ball = BallMap(table, words)
-        r_small, r_big = r["radius_small"], r["radius_inflated"]
-        t_cloud = (2.0 * halton(3, 16, seed=3) - 1.0) * r_small
-        selected, centers = [], []
-        for x in mesh:
-            cloud = ball.push(rounded(x), t_cloud)
-            if not any(ball.members([c], cloud, [r_small] * 3)[0].any() for c in centers):
-                selected.append(list(map(float, x)))
-                centers.append(rounded(x))
-        covered = np.zeros(len(mesh), dtype=bool)
-        for c in centers:
-            covered |= ball.members([c], mesh, [r_big] * 3)[0][0]
+        selected, covered = reference_cover(table, r, 5, 3)
         assert r["centers"] == selected and r["count"] == len(selected)
-        assert r["covered_fraction"] == float(covered.mean())
+        assert r["covered_fraction"] == covered
+
+    # (grid, rho, seed, pair cap): the benchmark's grid, where rho 0.25 picks
+    # all 27 candidates and rho 16 picks 18; then a cap of 600 pairs, so that
+    # blocks hold at most 9 candidates and both selection calls run many times
+    @pytest.mark.parametrize("grid, rho, seed, cap",
+                             [(3, rho, seed, ccballs.PAIRS_PER_CALL)
+                              for rho in (0.25, 16.0) for seed in (1, 2, 3)]
+                             + [(4, 8.0, 3, 600)])
+    def test_cover_matches_one_candidate_loop(self, moment2, monkeypatch,
+                                              grid, rho, seed, cap):
+        table, entries = moment2["table"], moment2["entries"]
+        calls = {"all": 0, "pairs": 0}
+
+        def counting_members(self, *args, pairs=None, **kwargs):
+            calls["all" if pairs is None else "pairs"] += 1
+            return members(self, *args, pairs=pairs, **kwargs)
+
+        members = BallMap.members
+        monkeypatch.setattr(ccballs, "PAIRS_PER_CALL", cap)
+        monkeypatch.setattr(BallMap, "members", counting_members)
+        r = vitali_cover(table, entries, [-0.5] * 3, [0.5] * 3, rho=rho,
+                         delta=0.5, grid=grid, seed=seed)
+        monkeypatch.undo()
+        selected, covered = reference_cover(table, r, grid, seed)
+        assert r["centers"] == selected and r["count"] == len(selected)
+        assert r["covered_fraction"] == covered
+        if cap < ccballs.PAIRS_PER_CALL:
+            # the coverage call is the one more call without pairs
+            assert calls["pairs"] > 5 and calls["all"] > 5, calls
