@@ -9,16 +9,19 @@ bracket.  The rest works abstractly: weak Malcev bases through a prescribed
 subalgebra, the polynomial group law in Malcev coordinates, and the
 covering map built from flows at a base point.
 
-All exact linear algebra over Q lives here.  Row reduction, determinants and
-the exp(-s ad) series work on integer rows (fraction-free elimination,
-Bareiss 1968) and make a Fraction only for an entry they return.  ``Span`` is
-the one answer to "coordinates in, or defect from, the span of these
-vectors", for word coordinates, the Malcev ad matrices and the normalizer
-chain.
-``exp_neg_ad`` is the one exp(-s ad A) series, for the torsion Jacobian's
-pushforward columns and the group law's Maurer-Cartan matrix.  The covering
-map composes flows by ``geometry.compose_flow``; the group law sums the levels
-of ``geometry.lie_series`` at time 1.  Jacobians are ``PolyMatrix.jacobian``.
+The exact linear algebra over Q lives here, except the determinant: every
+determinant, rational ones included (a matrix of 0-variable constants), is
+``PolyMatrix.det``.  Row reduction and the exp(-s ad) series work on integer
+rows (fraction-free elimination, Bareiss 1968) and make a Fraction only for an
+entry they return.  ``Span`` is the one answer to "coordinates in, or defect
+from, the span of these vectors", for word coordinates, the Malcev ad
+matrices and the normalizer chain.
+``exp_neg_ad`` is the one exp(-s ad A) series.  ``exp_neg_ad_chain`` is the
+one chain of them, exp(-s_m ad A_m) ... exp(-s_(j+1) ad A_(j+1)) v as RatPoly
+coordinates: the torsion Jacobian's pushforward columns, and the group law's
+Maurer-Cartan columns and Ad(psi^-1) x2.  The covering map composes flows by
+``geometry.compose_flow``; the group law sums the levels of
+``geometry.lie_series`` at time 1.  Jacobians are ``PolyMatrix.jacobian``.
 
 Convention tying the group law to concrete flows: let Phi_x flow e_0 for time
 x_0 first, then e_1, and so on, and let X(v) be the field of sum_i v_i e_i.
@@ -32,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .geometry import (
     PolyVectorField,
@@ -102,28 +105,6 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     zero = Fraction(0)
     return [[Fraction(x, row[c]) if x else zero for x in row]
             for row, c in zip(m, pivots)], pivots
-
-
-def _rational_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by Bareiss elimination on its
-    integer rows: every division by the previous pivot is exact."""
-    m, scale = _integer_rows(rows)
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            m[k], m[p] = m[p], m[k]
-            sign = -sign
-        prow = m[k]
-        pv = prow[k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            m[i] = [(pv * x - f * y) // prev for x, y in zip(m[i], prow)]
-        prev = pv
-    return Fraction(sign * prev, scale)
 
 
 class Span:
@@ -238,15 +219,6 @@ class WordBasis:
     words: tuple[Word, ...]
     fields: tuple[PolyVectorField, ...]
     coords: dict[Word, tuple[Fraction, ...]]
-    index: dict  # (component, exponent) -> coefficient-vector slot
-    span: Span
-
-    def coordinates(self, f: PolyVectorField) -> tuple[Fraction, ...] | None:
-        """Coordinates of f in the basis; None when f leaves the span."""
-        if any((i, exp) not in self.index
-               for i, comp in enumerate(f.components) for exp in comp.terms):
-            return None
-        return self.span.coords(_field_vector(f, self.index))
 
 
 def word_basis(table: WordTable) -> WordBasis:
@@ -266,8 +238,6 @@ def word_basis(table: WordTable) -> WordBasis:
         words=tuple(words[p] for p in span.basis),
         fields=tuple(table.entries[words[p]] for p in span.basis),
         coords=dict(zip(words, span.gen_coords)),
-        index=index,
-        span=span,
     )
 
 
@@ -303,6 +273,25 @@ def exp_neg_ad(ad: list[list[Fraction]], col: dict[tuple[int, ...], list[Fractio
             k += 1
             den *= k * L
     return out
+
+
+def exp_neg_ad_chain(ads: Sequence[list[list[Fraction]]],
+                     col: dict[tuple[int, ...], list[Fraction]],
+                     slots: Iterable[int]) -> list[RatPoly] | None:
+    """exp(-s_k ad A_k) for k in ``slots``, applied to ``col`` in turn (the
+    first slot first) by ``exp_neg_ad``: one RatPoly per coordinate.
+
+    ``col`` is a nonempty column as in ``exp_neg_ad``; s_k is variable k of
+    its exponent tuples and ``ads[k]`` the matrix of ad A_k.  A nilpotent
+    N x N matrix has A^N = 0, so each series may run N terms, N the length
+    of the coordinate vectors; returns None when one has not stopped by then.
+    """
+    nv, N = (len(x) for x in next(iter(col.items())))
+    for k in slots:
+        col = exp_neg_ad(ads[k], col, k, N)
+        if col is None:
+            return None
+    return [RatPoly._of(nv, {e: v[r] for e, v in col.items() if v[r]}) for r in range(N)]
 
 
 @dataclass(frozen=True)
@@ -531,17 +520,14 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
     def unit(i: int, dim: int) -> tuple[int, ...]:
         return tuple(int(k == i) for k in range(dim))
 
-    def exp_neg_ads(col, order) -> list[RatPoly]:
-        """exp(-x_i ad e_i) for i in ``order`` applied in turn, as RatPolys."""
-        for i in order:
-            col = exp_neg_ad(ads[i], col, i, N)
-            if col is None:
-                raise ArithmeticError(f"ad e_{i} is not nilpotent; algebra data bad")
-        return [RatPoly._of(nv, {e: v[r] for e, v in col.items() if v[r]}) for r in range(N)]
-
     # Fraction entries: the last column meets no exp_neg_ad before RatPoly._of
-    C = [exp_neg_ads({(0,) * nv: [Fraction(k) for k in unit(j, N)]}, range(j + 1, N))
+    C = [exp_neg_ad_chain(ads, {(0,) * nv: [Fraction(k) for k in unit(j, N)]},
+                          range(j + 1, N))
          for j in range(N)]
+    # Ad(psi(x1)^-1) x2, the right-hand side of q's flow
+    ad_x2 = exp_neg_ad_chain(ads, {unit(N + i, nv): unit(i, N) for i in range(N)}, range(N))
+    if None in C or ad_x2 is None:
+        raise ArithmeticError("an ad e_i is not nilpotent; algebra data bad")
     if any(C[j][j] != one or any(not C[j][r].is_zero() for r in range(j))
            for j in range(N)):
         raise ArithmeticError(
@@ -558,7 +544,7 @@ def group_law(basis: MalcevBasis) -> GroupLaw:
                 for i in range(N)]
 
     r = time1_flow(xs[N:])
-    q = time1_flow(exp_neg_ads({unit(N + i, nv): unit(i, N) for i in range(N)}, range(N)))
+    q = time1_flow(ad_x2)
 
     for name, law in (("q", q), ("r", r)):
         if not PolyMatrix.jacobian(law, range(N)).det() == one:
@@ -612,7 +598,9 @@ def covering_map(basis: MalcevBasis, x0: Sequence) -> CoveringMap:
     if det0 == 0:
         raise SingularAtOrigin("covering map differential singular at the origin")
     frame = [f.eval(x0) for f in head]
-    frame_det = _rational_det([[frame[j][i] for j in range(n)] for i in range(n)])
+    frame_det = PolyMatrix.from_rows(
+        [[RatPoly.const(0, frame[j][i]) for j in range(n)] for i in range(n)]
+    ).det().constant_value()
     diagnostics = {
         "frame_det": frame_det,
         "det_matches_frame_up_to_sign": abs(det0) == abs(frame_det),

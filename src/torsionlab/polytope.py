@@ -40,8 +40,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geometry import Word, WordTable, word_degree
-from .nilpotent import _rational_det, basis_frame
-from .polycore import RatPoly
+from .nilpotent import basis_frame
+from .polycore import PolyMatrix, RatPoly
 from .torsion import (
     all_jacobian_derivatives,
     b_of_beta,
@@ -310,7 +310,9 @@ def lambda_table(table: WordTable, tuple_budget: int = 200_000) -> list[LambdaEn
     for subset in itertools.combinations(groups, n):
         acc: dict = {}
         for cols, d in frame.minors:
-            minor = _rational_det([[row[j] for j in cols] for row, _ in subset])
+            minor = PolyMatrix.from_rows(
+                [[RatPoly.const(0, row[j]) for j in cols] for row, _ in subset]
+            ).det().constant_value()
             if minor != 0:
                 for exp, c in d.terms.items():
                     acc[exp] = acc.get(exp, 0) + minor * c

@@ -27,10 +27,11 @@ pushforward is
     c_j(t) = exp(-t_n ad Y_n) ... exp(-t_(j+1) ad Y_(j+1)) v_j,
 
 with v_j the coordinates of Y_j.  This is the convention (phi_s)_* Y =
-exp(-s ad Z) Y for phi the flow of Z, with no further global sign.  Every
-series (``nilpotent.exp_neg_ad``) is finite because ad is nilpotent, so
-C(t) = [c_1 ... c_n] is an N x n polynomial matrix in t alone, and
-Cauchy-Binet gives
+exp(-s ad Z) Y for phi the flow of Z, with no further global sign.  Each
+column is one ``nilpotent.exp_neg_ad_chain`` over slots j+1..n, the chain the
+group law's Maurer-Cartan columns use.  Every series is finite because ad
+is nilpotent, so C(t) = [c_1 ... c_n] is an N x n polynomial matrix in t
+alone, and Cauchy-Binet gives
 
     det d Phi/dt = sum over n-subsets S of det C(t)[S, :] * (det E_S) o Phi.
 
@@ -50,7 +51,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .geometry import Word, WordTable, compose_flow, lie_series_flow
-from .nilpotent import basis_frame, exp_neg_ad
+from .nilpotent import basis_frame, exp_neg_ad_chain
 from .polycore import PolyMatrix, RatPoly
 
 
@@ -151,18 +152,14 @@ def adjoint_jac_det(flow: IterFlowMap) -> RatPoly | None:
     nv = 2 * n
     if any(w not in table.entries for w in words):
         return RatPoly.zero(nv)  # a vanished word gives a zero column
-    N = len(frame.basis.words)
-    # column j of C(t) as {t-exponent: coordinate vector}
-    cols: list[dict[tuple[int, ...], list[Fraction]]] = []
-    for slot, w in enumerate(words):
-        ad = frame.ad(w)
-        cols = [exp_neg_ad(ad, col, slot, N) for col in cols]
-        if None in cols:
-            return None  # (ad Y)^N v != 0: ad Y is not nilpotent
-        cols.append({(0,) * n: list(frame.basis.coords[w])})
-    # C(t) in the n time variables; a nonzero minor's det is padded once
-    C = [[RatPoly._of(n, {e: v[r] for e, v in col.items() if v[r]}) for col in cols]
-         for r in range(N)]
+    ads = [frame.ad(w) for w in words]
+    # column j of C(t), in the n time variables
+    cols = [exp_neg_ad_chain(ads, {(0,) * n: list(frame.basis.coords[w])}, range(j + 1, n))
+            for j, w in enumerate(words)]
+    if None in cols:
+        return None  # (ad Y)^N v != 0: ad Y is not nilpotent
+    C = list(zip(*cols))
+    # a nonzero minor's det is padded once
     pad = (0,) * n
     total = RatPoly.zero(nv)
     for S, minor in frame.minors:

@@ -31,18 +31,19 @@ from torsionlab.nilpotent import (
     SingularAtOrigin,
     Span,
     _echelon,
+    _field_vector,
     _malcev_struct,
     _nullspace,
-    _rational_det,
     abstract_algebra,
     covering_map,
     exp_neg_ad,
+    exp_neg_ad_chain,
     group_law,
     isotropy_subalgebra,
     weak_malcev,
     word_basis,
 )
-from torsionlab.polycore import RatPoly
+from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.scenes import Scene, builtin_scene, curve_maps, moment_curve_scene, power2d_scene
 
 
@@ -195,6 +196,21 @@ def exp_neg_ad_reference(ad, col, var, limit):
     return out
 
 
+def basis_coordinates(basis, f):
+    """Coordinates of f in a word basis, solved by one Span of the basis
+    fields' coefficient vectors; None when f leaves their span."""
+    index = {}
+    for g in basis.fields:
+        for i, comp in enumerate(g.components):
+            for exp in comp.terms:
+                index.setdefault((i, exp), len(index))
+    if any((i, exp) not in index for i, comp in enumerate(f.components) for exp in comp.terms):
+        return None
+    span = Span([_field_vector(g, index) for g in basis.fields], len(index))
+    assert span.rank == len(basis.fields)
+    return span.coords(_field_vector(f, index))
+
+
 def random_matrix(rng, nrows, ncols, rank=None):
     """Rational matrix of the given rank (random by default) with zero rows
     and columns, entries of both signs and, now and then, large denominators."""
@@ -254,14 +270,19 @@ class TestIntegerElimination:
         assert any(len(e[0][1]) < min(len(r), n) for e, (r, n) in zip(got, cases))
 
     def test_rational_det(self):
+        # PolyMatrix.det on 0-variable constants, as the lambda and frame minors
+        def det(rows):
+            return PolyMatrix.from_rows(
+                [[RatPoly.const(0, x) for x in row] for row in rows]).det().constant_value()
+
         for seed in range(200):
             rng = random.Random(seed)
             n = rng.randint(0, 6)
             rows = random_matrix(rng, n, n, rank=n if seed % 3 else None)
-            assert _rational_det(rows) == rational_det_reference(rows)
+            assert det(rows) == rational_det_reference(rows)
         # a row swap, and a negative pivot left after it
         rows = [[Fraction(0), Fraction(1, 2)], [Fraction(-3), Fraction(5)]]
-        assert _rational_det(rows) == Fraction(3, 2) == rational_det_reference(rows)
+        assert det(rows) == Fraction(3, 2) == rational_det_reference(rows)
 
     def test_exp_neg_ad(self):
         declined = 0
@@ -283,6 +304,35 @@ class TestIntegerElimination:
                 assert list(got) == list(want)
         assert 0 < declined < 100
         assert exp_neg_ad([[Fraction(1)]], {(0,): [Fraction(1)]}, 0, 3) is None
+
+    def test_exp_neg_ad_chain(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            dim, nv = rng.randint(1, 5), rng.randint(1, 4)
+            ads = [nilpotent_matrix(rng, dim) for _ in range(nv)]
+            slots = rng.sample(range(nv), rng.randint(1, nv))
+            if seed % 4 == 0:  # c I + nilpotent is invertible: no series stops
+                bad = rng.choice(slots)
+                c = Fraction(rng.choice([-1, 1]), rng.randint(1, 5))
+                ads[bad] = [[a + c * (i == j) for j, a in enumerate(row)]
+                            for i, row in enumerate(ads[bad])]
+            col = {tuple(rng.randint(0, 2) for _ in range(nv)): rational_vec(rng, dim)
+                   for _ in range(rng.randint(1, 4))}
+            next(iter(col.values()))[0] = Fraction(1)  # a nonzero column
+            got = exp_neg_ad_chain(ads, col, slots)
+            # the reference: exp_neg_ad one slot at a time, first slot first
+            want = col
+            for s in slots:
+                want = exp_neg_ad(ads[s], want, s, dim)
+                if want is None:
+                    break
+            if seed % 4 == 0:
+                assert want is None and got is None
+                continue
+            assert [list(p.terms.items()) for p in got] == \
+                [list(RatPoly(nv, {e: v[r] for e, v in want.items()}).terms.items())
+                 for r in range(dim)]
+            assert all(p.nvars == nv for p in got)
 
 
 class TestSpan:
@@ -373,7 +423,7 @@ class TestAbstractAlgebra:
         basis = word_basis(table)
         assert alg.basis_words == basis.words
         for i, k in itertools.product(range(alg.dim), repeat=2):
-            ref = basis.coordinates(lie_bracket(basis.fields[i], basis.fields[k]))
+            ref = basis_coordinates(basis, lie_bracket(basis.fields[i], basis.fields[k]))
             assert tuple(row[k] for row in alg.ad[i]) == ref, (i, k)
 
     def test_uncertified_table_rejected(self):
@@ -410,13 +460,13 @@ class TestAbstractAlgebra:
                 acc = acc + f.scale(c)
             assert acc == table.entries[w], w
         assert basis.coords[(2, 1, 2)] == (0, 0, 0, 1)
-        assert basis.coordinates(table.entries[(2, 2, 1)]) == (0, 0, 0, -1)
+        assert basis_coordinates(basis, table.entries[(2, 2, 1)]) == (0, 0, 0, -1)
         # outside the span: a constant first component alone uses only known
         # monomials, x0 in the last component is a monomial no word field has
         one, zero = RatPoly.const(4, 1), RatPoly.zero(4)
-        assert basis.coordinates(PolyVectorField((one, zero, zero, zero))) is None
+        assert basis_coordinates(basis, PolyVectorField((one, zero, zero, zero))) is None
         x0 = RatPoly.variable(4, 0)
-        assert basis.coordinates(PolyVectorField((zero, zero, zero, x0))) is None
+        assert basis_coordinates(basis, PolyVectorField((zero, zero, zero, x0))) is None
 
     def test_jacobi_exact(self, moment3):
         table = moment3["table"]

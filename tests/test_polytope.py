@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionlab.geometry import build_word_table, hodge_star_field, word_degree
-from torsionlab.nilpotent import _rational_det, basis_frame, word_basis
+from torsionlab.nilpotent import basis_frame, word_basis
 from torsionlab.polycore import PolyMatrix, RatPoly
 from torsionlab.polytope import (
     EmptyPolytope,
@@ -25,6 +25,8 @@ from torsionlab.polytope import (
     weight_spec,
 )
 from torsionlab.scenes import curve_maps, moment_curve_scene, power2d_scene
+
+from test_nilpotent import rational_det_reference
 
 
 def tuple_degree(words) -> tuple[int, int]:
@@ -102,7 +104,7 @@ def per_tuple_lambda_table(table):
         coords = [frame.basis.coords[w] for w in combo]
         acc = {}
         for cols, d in frame.minors:
-            minor = _rational_det([[row[j] for j in cols] for row in coords])
+            minor = rational_det_reference([[row[j] for j in cols] for row in coords])
             if minor != 0:
                 for exp, c in d.terms.items():
                     acc[exp] = acc.get(exp, 0) + minor * c

@@ -128,6 +128,20 @@ class TestRwt:
         assert r["ratio"] == 0.0
 
 
+    def test_exponents_in_order(self, moment3):
+        # moment3 has p = (3/2, 2), so swapping p1 and p2 moves the ratio
+        # whenever |E1| != |E2|
+        sc = moment3["scene"]
+        e1 = BoxUnion((Box((F(0),) * 3, (F(1), F(1), F(1, 2))),))
+        e2 = BoxUnion((Box((F(-1),) * 3, (F(1),) * 3),))
+        r = rwt_ratio(e1, e2, moment3["profile"], sc.pi1, sc.pi2, unit_box(4),
+                      band=None, n_samples=4000, seed=3)
+        assert (r["E1_volume"], r["E2_volume"]) == (0.5, 8.0)
+        assert r["estimate"] > 0
+        assert r["ratio"] == pytest.approx(
+            r["estimate"] / (0.5 ** (1 / 1.5) * 8.0 ** (1 / 2)), rel=1e-12)
+
+
 class TestBilinear:
     def test_indicator_reduction(self, moment2):
         # f1 = f2 = chi: B = rho * |Omega| with constant rho = 2^(1/3)
@@ -200,6 +214,13 @@ class TestCounterexample2D:
             assert row["B"] == pytest.approx(2 ** (-1 / k) - 2 ** (-j / k), rel=1e-13)
             assert row["norm_f2"] ** k == pytest.approx(0.5 - 2.0 ** -j, rel=1e-13)
 
+    def test_growth_below_factor_two_bounded(self):
+        # ratios that rise strictly, but by a total factor between 1 and 2
+        r = counterexample_2d(2, j_list=[4, 5, 6])
+        assert r["strictly_increasing"]
+        assert 1.0 < r["growth_factor"] < 2.0
+        assert r["verdict"] == "bounded"
+
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError, match="k must be at least 1, got 0"):
             counterexample_2d(0)
@@ -212,6 +233,8 @@ class TestScaleProfile:
         r = scale_profile(f, f, moment2["profile"], sc.pi1, sc.pi2,
                           unit_box(3), range(-4, 4), 4000, seed=10)
         assert r["nonzero_bands"] == 1
+        # theta = (1/p1 + 1/p2)^(-1) with p1 = p2 = 3/2
+        assert r["theta"] == pytest.approx(0.75, rel=1e-15)
 
     def test_degenerate_cubic_multiple_bands(self):
         pi1, pi2 = curve_maps([[0, 1], [0, 0, 0, 1]])
